@@ -39,7 +39,8 @@ void Run() {
   donor.last_active = 0.0;
 
   const Model& dest = repository.at("function_d");
-  const double compute = context.profile.InferenceCost(dest);
+  const ModelCosts dest_costs = ModelCosts::Of(dest, costs, context.profile);
+  const double compute = dest_costs.inference;
 
   benchutil::PrintHeader(
       "Figure 1: request timeline for function D (warm idle container of function C exists)");
@@ -51,6 +52,7 @@ void Run() {
     auto policy = MakeStartupPolicy(system, context);
     StartupRequest request;
     request.dest = &dest;
+    request.dest_costs = &dest_costs;
     request.donors = {&donor};
     request.resident_functions = {"function_c"};
     request.has_free_slot = false;  // The node is full: the cold-start regime.

@@ -35,15 +35,13 @@ std::vector<const Model*> Pointers(const std::vector<Model>& models) {
 
 std::vector<std::vector<double>> CombinedDistanceMatrixImpl(
     const std::vector<const Model*>& models, const std::map<std::string, DemandSeries>& history,
-    const CostModel& costs, const BalancerOptions& options) {
+    const EditDistanceFn& edit_distance, const BalancerOptions& options) {
   const size_t n = models.size();
   std::vector<std::vector<double>> edit(n, std::vector<double>(n, 0.0));
   double max_edit = 0.0;
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      const double forward = ModelEditDistance(*models[i], *models[j], costs);
-      const double backward = ModelEditDistance(*models[j], *models[i], costs);
-      const double d = std::min(forward, backward);
+      const double d = edit_distance(*models[i], *models[j]);
       edit[i][j] = edit[j][i] = d;
       max_edit = std::max(max_edit, d);
     }
@@ -103,10 +101,24 @@ Placement LoadBasedPlacement(const std::vector<const Model*>& models, int num_no
   return placement;
 }
 
+EditDistanceFn BoundEditDistance(const CostModel& costs) {
+  return [&costs](const Model& a, const Model& b) { return SymmetricEditDistance(a, b, costs); };
+}
+
+}  // namespace
+
+double SymmetricEditDistance(const Model& a, const Model& b, const CostModel& costs) {
+  return std::min(ModelEditDistance(a, b, costs), ModelEditDistance(b, a, costs));
+}
+
 Placement ModelSharingPlacement(const std::vector<const Model*>& models, int num_nodes,
                                 const std::map<std::string, DemandSeries>& history,
-                                const CostModel& costs, const BalancerOptions& options) {
-  const auto distance = CombinedDistanceMatrixImpl(models, history, costs, options);
+                                const EditDistanceFn& edit_distance,
+                                const BalancerOptions& options) {
+  if (num_nodes < 1) {
+    throw std::invalid_argument("ModelSharingPlacement: need at least one node");
+  }
+  const auto distance = CombinedDistanceMatrixImpl(models, history, edit_distance, options);
   // Cluster at finer granularity than the node count, then bin-pack clusters
   // onto nodes by expected demand: keeping whole clusters together preserves
   // transformation affinity, while the packing keeps node load even (§5.1's
@@ -181,12 +193,10 @@ Placement ModelSharingPlacement(const std::vector<const Model*>& models, int num
   return placement;
 }
 
-}  // namespace
-
 std::vector<std::vector<double>> CombinedDistanceMatrix(
     const std::vector<Model>& models, const std::map<std::string, DemandSeries>& history,
     const CostModel& costs, const BalancerOptions& options) {
-  return CombinedDistanceMatrixImpl(Pointers(models), history, costs, options);
+  return CombinedDistanceMatrixImpl(Pointers(models), history, BoundEditDistance(costs), options);
 }
 
 Placement PlaceFunctions(const std::vector<const Model*>& models, int num_nodes,
@@ -204,7 +214,7 @@ Placement PlaceFunctions(const std::vector<const Model*>& models, int num_nodes,
       if (costs == nullptr) {
         throw std::invalid_argument("PlaceFunctions: model sharing needs a cost model");
       }
-      return ModelSharingPlacement(models, num_nodes, history, *costs, options);
+      return ModelSharingPlacement(models, num_nodes, history, BoundEditDistance(*costs), options);
   }
   return {};
 }

@@ -10,6 +10,7 @@
 #ifndef OPTIMUS_SRC_BALANCER_BALANCER_H_
 #define OPTIMUS_SRC_BALANCER_BALANCER_H_
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -58,6 +59,22 @@ Placement PlaceFunctions(const std::vector<Model>& models, int num_nodes,
 Placement PlaceFunctions(const std::vector<const Model*>& models, int num_nodes,
                          const std::map<std::string, DemandSeries>& history,
                          const CostModel* costs, const BalancerOptions& options);
+
+// The §5.1 structural term before normalization: the symmetric edit distance
+// min(D(a,b), D(b,a)), each direction the group planner's transformation cost.
+double SymmetricEditDistance(const Model& a, const Model& b, const CostModel& costs);
+
+// A symmetric edit distance between two models, e.g. SymmetricEditDistance
+// bound to a cost model, or a memo over it.
+using EditDistanceFn = std::function<double(const Model&, const Model&)>;
+
+// The model-sharing solve (PlaceFunctions' kModelSharing branch) over a
+// caller-supplied edit distance — how the placement policy reuses distances
+// across re-solves. `options.kind` is ignored.
+Placement ModelSharingPlacement(const std::vector<const Model*>& models, int num_nodes,
+                                const std::map<std::string, DemandSeries>& history,
+                                const EditDistanceFn& edit_distance,
+                                const BalancerOptions& options);
 
 // The pairwise combined-distance matrix the model-sharing balancer clusters;
 // exposed for tests and ablation benchmarks. Distances are normalized to

@@ -25,9 +25,7 @@ constexpr double kPagurusRepackage = 0.05;
 // Per-shared-operation cost of Tetris' address mapping.
 constexpr double kTetrisMapPerOp = 0.0001;
 
-double FullLoadCost(const Model& model, const PolicyContext& context) {
-  return context.costs->ScratchLoadCost(model) + context.profile.DeviceTransferCost(model);
-}
+double FullLoadCost(const ModelCosts& costs) { return costs.scratch_load + costs.device_transfer; }
 
 class OpenWhiskPolicy final : public StartupPolicy {
  public:
@@ -37,7 +35,7 @@ class OpenWhiskPolicy final : public StartupPolicy {
     StartupResult result;
     result.type = StartType::kCold;
     result.init_seconds = context_.profile.InitCost();
-    result.load_seconds = FullLoadCost(*request.dest, context_);
+    result.load_seconds = FullLoadCost(*request.dest_costs);
     return result;
   }
 
@@ -53,7 +51,7 @@ class PagurusPolicy final : public StartupPolicy {
 
   StartupResult Acquire(const StartupRequest& request) override {
     StartupResult result;
-    result.load_seconds = FullLoadCost(*request.dest, context_);
+    result.load_seconds = FullLoadCost(*request.dest_costs);
     if (!request.donors.empty() && !request.has_free_slot) {
       // Repurpose an idle container: the sandbox and ML runtime are alive, so
       // only the package delta and the model load remain.
@@ -96,11 +94,11 @@ class TetrisPolicy final : public StartupPolicy {
     if (same_function_resident) {
       result.type = StartType::kTransform;
       result.load_seconds =
-          context_.costs->DeserializeCost(request.dest->WeightBytes()) +
+          context_.costs->DeserializeCost(request.dest_costs->weight_bytes) +
           kTetrisMapPerOp * static_cast<double>(request.dest->NumOps());
     } else {
       result.type = StartType::kCold;
-      result.load_seconds = FullLoadCost(*request.dest, context_);
+      result.load_seconds = FullLoadCost(*request.dest_costs);
     }
     return result;
   }
@@ -118,7 +116,7 @@ class OptimusPolicy final : public StartupPolicy {
 
   StartupResult Acquire(const StartupRequest& request) override {
     StartupResult result;
-    const double scratch = FullLoadCost(*request.dest, context_);
+    const double scratch = FullLoadCost(*request.dest_costs);
 
     // Pick the donor whose cached transformation plan is cheapest. Donors are
     // only consumed when the node is full; with a free slot a fresh container
@@ -144,7 +142,7 @@ class OptimusPolicy final : public StartupPolicy {
       // model from scratch inside the donor container, load from scratch.
       if (best_cost < scratch) {
         result.type = StartType::kTransform;
-        result.load_seconds = best_cost + context_.profile.DeviceTransferCost(*request.dest);
+        result.load_seconds = best_cost + request.dest_costs->device_transfer;
       } else {
         result.type = StartType::kCold;
         result.load_seconds = scratch;

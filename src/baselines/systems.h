@@ -39,8 +39,10 @@ const char* SystemTypeName(SystemType type);
 
 // What the policy sees when a warm start is unavailable.
 struct StartupRequest {
-  // The destination function's model (structure-only).
+  // The destination function's model (structure-only) and its cost record,
+  // computed with the PolicyContext's cost model and profile.
   const Model* dest = nullptr;
+  const ModelCosts* dest_costs = nullptr;
   // §4.2 transformation donors: idle-threshold-exceeded containers of other
   // functions on the node.
   std::vector<Container*> donors;

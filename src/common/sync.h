@@ -109,6 +109,7 @@ enum class LockRank : uint32_t {
   kRebalance = 80,        // background rebalancer wakeup
   kWarming = 85,          // background warming-loop wakeup (platform.cc)
   kDemand = 90,           // placement demand accumulator
+  kPlacementMemo = 95,    // model-sharing policy pair-distance memo (leaf)
   kThreadPool = 100,      // worker-pool task queue
   kMetricsRegistry = 110, // telemetry series registry (shared)
   kTraceSampler = 120,    // trace sampler RNG

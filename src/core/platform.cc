@@ -274,7 +274,7 @@ bool OptimusPlatform::ExecutePrewarmOrder(const WarmingOrder& order, double now)
     warming_failures_.Inc();
     return false;
   }
-  const Model* model_ptr = nullptr;
+  const FunctionEntry* entry = nullptr;
   {
     ReaderLock lock(repository_mutex_);
     const auto it = repository_.find(order.function);
@@ -282,9 +282,9 @@ bool OptimusPlatform::ExecutePrewarmOrder(const WarmingOrder& order, double now)
       warming_skipped_.Inc();
       return false;
     }
-    model_ptr = &it->second.model;
+    entry = &it->second;
   }
-  const Model& model = *model_ptr;
+  const Model& model = entry->model;
   if (order.node < 0 || order.node >= pool_->num_nodes() || !pool_->Accepting(order.node)) {
     warming_skipped_.Inc();  // Planned against a table that has since drained.
     return false;
@@ -328,7 +328,8 @@ bool OptimusPlatform::ExecutePrewarmOrder(const WarmingOrder& order, double now)
       continue;
     }
     try {
-      const TransformDecision decision = transformer_->Decide(container.instance.model, model);
+      const TransformDecision decision =
+          transformer_->Decide(container.instance.model, model, entry->costs.scratch_load);
       if (best_donor == nullptr || decision.ChosenCost() < best_cost) {
         best_donor = &container;
         best_cost = decision.ChosenCost();
@@ -484,6 +485,7 @@ void OptimusPlatform::Deploy(const std::string& function, const Model& model) {
   named.set_name(function);
   const uint64_t seed = std::hash<std::string>{}(function);
   ModelInstance instance = loader_.Instantiate(named, seed == 0 ? 1 : seed);
+  const ModelCosts model_costs = ModelCosts::Of(instance.model, *costs_, SystemProfile::Cpu());
 
   // Register, snapshotting the peers to warm and place against. The warming
   // itself runs outside the repository lock: plans are independent of
@@ -503,6 +505,7 @@ void OptimusPlatform::Deploy(const std::string& function, const Model& model) {
     }
     FunctionEntry entry;
     entry.model = std::move(instance.model);
+    entry.costs = model_costs;
     entry.invoke_seconds =
         &metrics_.GetHistogram("optimus_function_invoke_seconds", {{"function", function}},
                                "End-to-end invoke wall seconds per function");
@@ -630,8 +633,7 @@ std::vector<Status> OptimusPlatform::TryInvokeBatch(
     return traces != nullptr && i < traces->size() ? (*traces)[i] : nullptr;
   };
 
-  const Model* model_ptr = nullptr;
-  telemetry::Histogram* function_seconds = nullptr;
+  const FunctionEntry* entry = nullptr;
   {
     ReaderLock lock(repository_mutex_);
     auto model_it = repository_.find(function);
@@ -642,8 +644,7 @@ std::vector<Status> OptimusPlatform::TryInvokeBatch(
       }
       return statuses;
     }
-    model_ptr = &model_it->second.model;
-    function_seconds = model_it->second.invoke_seconds;
+    entry = &model_it->second;  // Map nodes are stable; entries immutable.
   }
 
   FinalizeDrains(now);
@@ -654,7 +655,6 @@ std::vector<Status> OptimusPlatform::TryInvokeBatch(
   // per-request path below — batching never changes which start type a
   // request gets, only how many locks a warm run costs.
   {
-    const SystemProfile profile;
     const int primary = RouteAccepting(function);
     NodePool::LockedNode node = pool_->Lock(primary);
     RealContainer* warm = nullptr;
@@ -669,7 +669,6 @@ std::vector<Status> OptimusPlatform::TryInvokeBatch(
         warming_hits_.Inc();
         warming_lead_seconds_.Observe(std::max(0.0, now - warm->prewarmed_at));
       }
-      const double inference_estimate = profile.InferenceCost(*model_ptr);
       for (size_t i = 0; i < inputs.size(); ++i) {
         const uint64_t invoke_start_ns = telemetry::MonotonicNanos();
         telemetry::TraceContext* trace = trace_for(i);
@@ -677,7 +676,7 @@ std::vector<Status> OptimusPlatform::TryInvokeBatch(
         InvokeResult& result = (*results)[i];
         result.node = primary;
         result.start = StartType::kWarm;
-        result.estimated_latency = inference_estimate;
+        result.estimated_latency = entry->costs.inference;
         try {
           telemetry::ScopedSpan inference_span(trace, "inference", "inference");
           const uint64_t inference_start_ns = telemetry::MonotonicNanos();
@@ -693,8 +692,8 @@ std::vector<Status> OptimusPlatform::TryInvokeBatch(
             static_cast<double>(telemetry::MonotonicNanos() - invoke_start_ns) * 1e-9;
         warm_starts_.Inc();
         invoke_seconds_warm_.Observe(invoke_seconds);
-        if (function_seconds != nullptr) {
-          function_seconds->Observe(invoke_seconds);
+        if (entry->invoke_seconds != nullptr) {
+          entry->invoke_seconds->Observe(invoke_seconds);
         }
         invoke_span.Arg("start", static_cast<double>(StartType::kWarm));
       }
@@ -723,19 +722,17 @@ InvokeResult OptimusPlatform::InvokeInternal(const std::string& function,
   const uint64_t invoke_start_ns = telemetry::MonotonicNanos();
   telemetry::ScopedSpan invoke_span(trace, "invoke", "platform");
   now = AdvanceClock(now);
-  const Model* model_ptr = nullptr;
-  telemetry::Histogram* function_seconds = nullptr;
+  const FunctionEntry* entry = nullptr;
   {
     ReaderLock lock(repository_mutex_);
     auto model_it = repository_.find(function);
     if (model_it == repository_.end()) {
       throw OptimusError(ErrorCode::kNotFound, "Invoke: unknown function " + function);
     }
-    model_ptr = &model_it->second.model;  // Map nodes are stable; models immutable.
-    function_seconds = model_it->second.invoke_seconds;
+    entry = &model_it->second;  // Map nodes are stable; entries immutable.
   }
-  const Model& model = *model_ptr;
-  const SystemProfile profile;  // CPU profile for latency estimation.
+  const Model& model = entry->model;
+  const ModelCosts& model_costs = entry->costs;  // CPU profile, for latency estimation.
 
   // Lazily close any grace windows that expired by `now` before routing, so
   // a Draining node past its deadline never serves this request.
@@ -770,7 +767,7 @@ InvokeResult OptimusPlatform::InvokeInternal(const std::string& function,
   RealContainer* chosen = node.FindWarm(function);
   if (chosen != nullptr) {
     result.start = StartType::kWarm;
-    result.estimated_latency = profile.InferenceCost(model);
+    result.estimated_latency = model_costs.inference;
   }
 
   // Capacity pressure — the primary is full and offers no sufficiently-idle
@@ -799,7 +796,7 @@ InvokeResult OptimusPlatform::InvokeInternal(const std::string& function,
       if (RealContainer* warm = alt.FindWarm(function); warm != nullptr) {
         chosen = warm;
         result.start = StartType::kWarm;
-        result.estimated_latency = profile.InferenceCost(model);
+        result.estimated_latency = model_costs.inference;
         node = std::move(alt);
         result.node = neighbor;
         adopted = true;
@@ -824,7 +821,7 @@ InvokeResult OptimusPlatform::InvokeInternal(const std::string& function,
       chosen = node.FindWarm(function);
       if (chosen != nullptr) {
         result.start = StartType::kWarm;
-        result.estimated_latency = profile.InferenceCost(model);
+        result.estimated_latency = model_costs.inference;
       }
     }
   }
@@ -842,8 +839,8 @@ InvokeResult OptimusPlatform::InvokeInternal(const std::string& function,
           continue;
         }
         try {
-          const TransformDecision decision =
-              transformer_->Decide(container.instance.model, model, trace);
+          const TransformDecision decision = transformer_->Decide(
+              container.instance.model, model, model_costs.scratch_load, trace);
           if (best_donor == nullptr || decision.ChosenCost() < best_cost) {
             best_donor = &container;
             best_cost = decision.ChosenCost();
@@ -874,7 +871,7 @@ InvokeResult OptimusPlatform::InvokeInternal(const std::string& function,
         }
         result.start = outcome.decision.use_transform ? StartType::kTransform : StartType::kCold;
         result.donor_function = best_donor->function;
-        result.estimated_latency = outcome.decision.ChosenCost() + profile.InferenceCost(model);
+        result.estimated_latency = outcome.decision.ChosenCost() + model_costs.inference;
         best_donor->function = function;
         chosen = best_donor;
       } catch (const std::exception&) {
@@ -914,7 +911,7 @@ InvokeResult OptimusPlatform::InvokeInternal(const std::string& function,
     }
     result.start = StartType::kCold;
     result.estimated_latency =
-        profile.InitCost() + costs_->ScratchLoadCost(model) + profile.InferenceCost(model);
+        SystemProfile::Cpu().InitCost() + model_costs.scratch_load + model_costs.inference;
     chosen = node.Adopt(std::move(container));
   }
 
@@ -952,8 +949,8 @@ InvokeResult OptimusPlatform::InvokeInternal(const std::string& function,
       invoke_seconds_cold_.Observe(invoke_seconds);
       break;
   }
-  if (function_seconds != nullptr) {
-    function_seconds->Observe(invoke_seconds);
+  if (entry->invoke_seconds != nullptr) {
+    entry->invoke_seconds->Observe(invoke_seconds);
   }
   if (result.transform_fallback) {
     transform_fallbacks_.Inc();

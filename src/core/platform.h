@@ -301,12 +301,15 @@ class OptimusPlatform {
   std::vector<std::string> CheckContainerIntegrity() const;
 
  private:
-  // One registered function: its loaded model plus the per-function latency
-  // series, resolved once at Deploy() so the invoke path never takes the
-  // registry's name lookup. The histogram's count doubles as the cumulative
-  // demand signal the rebalancer harvests.
+  // One registered function: its loaded model, the model's cost record
+  // (CPU profile), and the per-function latency series, all resolved once at
+  // Deploy() so the invoke path neither walks the model's graph nor takes the
+  // registry's name lookup. Entries never change after insertion. The
+  // histogram's count doubles as the cumulative demand signal the rebalancer
+  // harvests.
   struct FunctionEntry {
     Model model;
+    ModelCosts costs;
     telemetry::Histogram* invoke_seconds = nullptr;
   };
 

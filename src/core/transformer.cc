@@ -57,8 +57,13 @@ void Transformer::RecordExecution(const TransformPlan& plan,
 
 TransformDecision Transformer::Decide(const Model& source, const Model& dest,
                                       telemetry::TraceContext* trace) {
+  return Decide(source, dest, costs_->ScratchLoadCost(dest), trace);
+}
+
+TransformDecision Transformer::Decide(const Model& source, const Model& dest,
+                                      double dest_scratch_cost, telemetry::TraceContext* trace) {
   TransformDecision decision;
-  decision.scratch_cost = costs_->ScratchLoadCost(dest);
+  decision.scratch_cost = dest_scratch_cost;
   if (cache_.Quarantined(source.name(), dest.name())) {
     // Negative cache: the pair kept failing at execution time; don't risk
     // another container on it.

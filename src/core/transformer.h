@@ -57,6 +57,11 @@ class Transformer {
   // plan-lookup span.
   TransformDecision Decide(const Model& source, const Model& dest,
                            telemetry::TraceContext* trace = nullptr);
+  // The same check against a caller-supplied scratch-load cost for dest —
+  // request paths pass their ModelCosts record's, once per donor candidate,
+  // instead of walking dest's graph each time.
+  TransformDecision Decide(const Model& source, const Model& dest, double dest_scratch_cost,
+                           telemetry::TraceContext* trace = nullptr);
 
   // Transforms `instance` (holding `source`) into `dest`, or scratch-loads
   // `dest` when the safeguard (or the quarantine) rejects the transformation.

@@ -4,8 +4,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
-
-#include "src/core/planner.h"
+#include <utility>
 
 namespace optimus {
 
@@ -183,9 +182,10 @@ class ModelSharingPolicy final : public PlacementPolicy {
   Placement Compute(const std::vector<const Model*>& models,
                     const std::map<std::string, DemandSeries>& history,
                     int num_nodes) const override {
-    PlacementOptions options = options_;
-    options.kind = BalancerKind::kModelSharing;
-    return PlaceFunctions(models, num_nodes, history, costs_, ToBalancerOptions(options));
+    return ModelSharingPlacement(
+        models, num_nodes, history,
+        [this](const Model& a, const Model& b) { return Distance(a, b); },
+        ToBalancerOptions(options_));
   }
 
   int PlaceOne(const Model& model, const std::vector<const Model*>& peers,
@@ -202,17 +202,13 @@ class ModelSharingPolicy final : public PlacementPolicy {
     const size_t cap = IncrementalCap(current.size() + 1, num_nodes);
     std::vector<double> node_affinity(static_cast<size_t>(num_nodes),
                                       std::numeric_limits<double>::infinity());
-    if (costs_ != nullptr) {
-      for (const Model* peer : peers) {
-        const int node = current.NodeOf(peer->name());
-        if (node < 0 || counts[static_cast<size_t>(node)] >= cap) {
-          continue;  // Unplaced peer, or its node cannot take another function.
-        }
-        const double distance = std::min(ModelEditDistance(model, *peer, *costs_),
-                                         ModelEditDistance(*peer, model, *costs_));
-        node_affinity[static_cast<size_t>(node)] =
-            std::min(node_affinity[static_cast<size_t>(node)], distance);
+    for (const Model* peer : peers) {
+      const int node = current.NodeOf(peer->name());
+      if (node < 0 || counts[static_cast<size_t>(node)] >= cap) {
+        continue;  // Unplaced peer, or its node cannot take another function.
       }
+      node_affinity[static_cast<size_t>(node)] =
+          std::min(node_affinity[static_cast<size_t>(node)], Distance(model, *peer));
     }
     int best = -1;
     for (int node = 0; node < num_nodes; ++node) {
@@ -235,8 +231,34 @@ class ModelSharingPolicy final : public PlacementPolicy {
   }
 
  private:
+  // SymmetricEditDistance of the pair, planned once per name pair: churn
+  // re-solves and rebalances over an unchanged model set then plan nothing.
+  // Keyed by name — the contract PlanCache keys plans on, which Deploy
+  // enforces: a registered name's model never changes. The lock guards only
+  // the map and is never held while planning, so a live Compute and PlaceOne
+  // on different threads never wait on each other's plans; threads racing on
+  // one new pair each plan it and store the same value.
+  double Distance(const Model& a, const Model& b) const EXCLUDES(distance_mutex_) {
+    std::pair<std::string, std::string> key =
+        a.name() < b.name() ? std::pair(a.name(), b.name()) : std::pair(b.name(), a.name());
+    {
+      MutexLock lock(distance_mutex_);
+      const auto it = distances_.find(key);
+      if (it != distances_.end()) {
+        return it->second;
+      }
+    }
+    const double distance = SymmetricEditDistance(a, b, *costs_);
+    MutexLock lock(distance_mutex_);
+    distances_.emplace(std::move(key), distance);
+    return distance;
+  }
+
   PlacementOptions options_;
   const CostModel* costs_;
+  mutable Mutex distance_mutex_{LockRank::kPlacementMemo, "placement.distance"};
+  mutable std::map<std::pair<std::string, std::string>, double> distances_
+      GUARDED_BY(distance_mutex_);
 };
 
 }  // namespace

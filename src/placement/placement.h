@@ -163,8 +163,10 @@ class PlacementStore {
 #endif
 };
 
-// Where functions go. Implementations are stateless (all inputs arrive as
-// arguments), so one policy instance can serve concurrent callers.
+// Where functions go. Every answer is a function of the arguments alone, and
+// one policy instance can serve concurrent callers: the model-sharing policy
+// memoizes pair distances by model name behind its own lock, which relies on
+// a name's model never changing (Deploy refuses re-registration).
 class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;

@@ -168,4 +168,23 @@ double SystemProfile::DeviceTransferCost(const Model& model) const {
   return gpu_transfer_per_byte * static_cast<double>(model.WeightBytes());
 }
 
+int64_t ContainerFootprintBytes(const Model& model) {
+  // ~256 MiB of runtime/framework baseline plus weights with a 1.2x overhead
+  // for deserialization scratch and fragmentation.
+  constexpr int64_t kRuntimeBaseline = 256LL << 20;
+  return kRuntimeBaseline + static_cast<int64_t>(1.2 * static_cast<double>(model.WeightBytes()));
+}
+
+ModelCosts ModelCosts::Of(const Model& model, const CostModel& costs,
+                          const SystemProfile& profile) {
+  ModelCosts record;
+  record.params = model.ParamCount();
+  record.weight_bytes = model.WeightBytes();
+  record.scratch_load = costs.ScratchLoadCost(model);
+  record.inference = profile.InferenceCost(model);
+  record.device_transfer = profile.DeviceTransferCost(model);
+  record.container_bytes = ContainerFootprintBytes(model);
+  return record;
+}
+
 }  // namespace optimus

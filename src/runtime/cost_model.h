@@ -126,6 +126,28 @@ struct SystemProfile {
   double DeviceTransferCost(const Model& model) const;
 };
 
+// Memory footprint of serving `model` in a container (runtime baseline plus
+// resident weights with framework overhead).
+int64_t ContainerFootprintBytes(const Model& model);
+
+// Costs of serving one model that depend only on its structure and the
+// system profile, computed once and read on request paths instead of walking
+// the model's graph per request (the paper profiles and plans at
+// registration, §4.4). Each field equals its direct call exactly. Keep the
+// record beside the model it was computed from — the platform's repository
+// entry, the simulator's model table — and never key records by Model*
+// alone: transformation mutates ModelInstance graphs in place.
+struct ModelCosts {
+  int64_t params = 0;            // Model::ParamCount
+  int64_t weight_bytes = 0;      // Model::WeightBytes
+  double scratch_load = 0.0;     // CostModel::ScratchLoadCost
+  double inference = 0.0;        // SystemProfile::InferenceCost
+  double device_transfer = 0.0;  // SystemProfile::DeviceTransferCost
+  int64_t container_bytes = 0;   // ContainerFootprintBytes
+
+  static ModelCosts Of(const Model& model, const CostModel& costs, const SystemProfile& profile);
+};
+
 }  // namespace optimus
 
 #endif  // OPTIMUS_SRC_RUNTIME_COST_MODEL_H_

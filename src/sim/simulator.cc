@@ -102,12 +102,20 @@ class Simulation {
       model_ptrs_.push_back(model);
     }
 
+    // One cost record per model, computed here once: requests read it instead
+    // of walking the model's graph. The workload's models are immutable for
+    // the simulation's lifetime, so the model index identifies its record.
+    model_costs_.reserve(models.size());
+    for (const Model& model : models) {
+      model_costs_.push_back(ModelCosts::Of(model, costs, config.profile));
+    }
+
     // Flat per-function hot-path tables: FunctionId indexes straight into the
-    // model, its scratch-load cost, and (below) its placement — no string
-    // hashing per request. Functions alias models via workload.function_model.
+    // model, its cost record, and (below) its placement — no string hashing
+    // per request. Functions alias models via workload.function_model.
     const size_t num_functions = functions_->size();
     model_of_.assign(num_functions, nullptr);
-    scratch_cost_of_.assign(num_functions, 0.0);
+    costs_of_.assign(num_functions, nullptr);
     for (size_t fn = 0; fn < num_functions; ++fn) {
       int32_t model_index = workload.function_model.empty()
                                 ? static_cast<int32_t>(fn)
@@ -115,7 +123,7 @@ class Simulation {
       if (model_index >= 0 && static_cast<size_t>(model_index) < models.size()) {
         const Model& model = models[static_cast<size_t>(model_index)];
         model_of_[fn] = &model;
-        scratch_cost_of_[fn] = costs.ScratchLoadCost(model);
+        costs_of_[fn] = &model_costs_[static_cast<size_t>(model_index)];
         // Function-name view for the startup policies' donor-model lookups.
         repository_.emplace(functions_->Name(static_cast<FunctionId>(fn)), &model);
       }
@@ -466,7 +474,7 @@ class Simulation {
       ++result_.warming_skipped;
       return;
     }
-    const Model& model = *model_of_[static_cast<size_t>(fn)];
+    const ModelCosts& costs = *costs_of_[static_cast<size_t>(fn)];
     node.pool.ReapExpired(now);
     if (node.pool.FindWarm(order.function) != nullptr) {
       ++result_.warming_skipped;
@@ -475,11 +483,12 @@ class Simulation {
 
     int64_t needed_memory = 0;
     if (config_.node_memory_bytes > 0) {
-      needed_memory = config_.fine_grained_containers ? ContainerFootprintBytes(model)
+      needed_memory = config_.fine_grained_containers ? costs.container_bytes
                                                       : config_.uniform_container_bytes;
     }
     StartupRequest request;
-    request.dest = &model;
+    request.dest = model_of_[static_cast<size_t>(fn)];
+    request.dest_costs = &costs;
     request.donors = node.pool.TransformCandidates(
         order.function, now, config_.fine_grained_containers ? needed_memory : 0);
     request.has_free_slot = node.pool.CanLaunch(needed_memory);
@@ -513,8 +522,7 @@ class Simulation {
     container->busy_until = ready;
     container->last_active = now;
     if (config_.eviction == EvictionPolicy::kGreedyDual) {
-      container->priority =
-          gd_clock_ + config_.profile.InitCost() + scratch_cost_of_[static_cast<size_t>(fn)];
+      container->priority = gd_clock_ + config_.profile.InitCost() + costs.scratch_load;
     }
     prewarmed_[{order.node, container->id}] = now;
     Event completion;
@@ -560,7 +568,7 @@ class Simulation {
   bool TryServe(int node_index, const QueuedRequest& queued, double now) {
     NodeState& node = nodes_[static_cast<size_t>(node_index)];
     const FunctionId fn = queued.fn;
-    const Model& model = *model_of_[static_cast<size_t>(fn)];
+    const ModelCosts& costs = *costs_of_[static_cast<size_t>(fn)];
     node.pool.ReapExpired(now);
 
     // Record-off mode writes into a stack scratch and skips the function-name
@@ -573,7 +581,7 @@ class Simulation {
     }
     record.arrival = queued.arrival;
     record.wait = now - record.arrival;
-    record.compute = config_.profile.InferenceCost(model);
+    record.compute = costs.inference;
 
     const std::string& function = functions_->Name(fn);
 
@@ -597,12 +605,13 @@ class Simulation {
     // Memory the new container would need (0 when memory is unmodeled).
     int64_t needed_memory = 0;
     if (config_.node_memory_bytes > 0) {
-      needed_memory = config_.fine_grained_containers ? ContainerFootprintBytes(model)
+      needed_memory = config_.fine_grained_containers ? costs.container_bytes
                                                       : config_.uniform_container_bytes;
     }
 
     StartupRequest request;
-    request.dest = &model;
+    request.dest = model_of_[static_cast<size_t>(fn)];
+    request.dest_costs = &costs;
     // With fine-grained containers a donor must be large enough to host the
     // new model (§6).
     request.donors = node.pool.TransformCandidates(
@@ -667,8 +676,8 @@ class Simulation {
     if (config_.eviction == EvictionPolicy::kGreedyDual) {
       // GDSF-style priority: aged clock plus the cost of bringing this
       // function back after an eviction (a full cold start).
-      container->priority = gd_clock_ + config_.profile.InitCost() +
-                            scratch_cost_of_[static_cast<size_t>(fn)];
+      container->priority =
+          gd_clock_ + config_.profile.InitCost() + costs_of_[static_cast<size_t>(fn)]->scratch_load;
     }
     Event completion;
     completion.time = done;
@@ -691,9 +700,12 @@ class Simulation {
   // Function name -> model, for the startup policies (O(functions) entries).
   std::map<std::string, const Model*> repository_;
   std::vector<const Model*> model_ptrs_;
+  // Cost record of each workload model, by model index; never resized after
+  // construction, so costs_of_ may point into it.
+  std::vector<ModelCosts> model_costs_;
   // --- FunctionId-indexed hot-path tables. ----------------------------------
   std::vector<const Model*> model_of_;
-  std::vector<double> scratch_cost_of_;
+  std::vector<const ModelCosts*> costs_of_;
   std::vector<int> node_of_;
   // Cumulative served invocations per function: the warming harvest's input.
   std::vector<uint64_t> served_counts_;
@@ -810,13 +822,6 @@ double SimResult::FractionOf(StartType type) const {
                : static_cast<double>(CountOf(type)) / static_cast<double>(total_requests);
   }
   return static_cast<double>(CountOf(type)) / static_cast<double>(records.size());
-}
-
-int64_t ContainerFootprintBytes(const Model& model) {
-  // ~256 MiB of runtime/framework baseline plus weights with a 1.2x overhead
-  // for deserialization scratch and fragmentation.
-  constexpr int64_t kRuntimeBaseline = 256LL << 20;
-  return kRuntimeBaseline + static_cast<int64_t>(1.2 * static_cast<double>(model.WeightBytes()));
 }
 
 SimResult RunSimulation(const std::vector<Model>& models, const Trace& trace,

@@ -108,10 +108,6 @@ struct SimConfig {
   WarmingOptions warming;
 };
 
-// Memory footprint of serving `model` in a container (runtime baseline plus
-// resident weights with framework overhead).
-int64_t ContainerFootprintBytes(const Model& model);
-
 // Per-request latency decomposition (RecordMode::kOn only).
 struct RequestRecord {
   std::string function;

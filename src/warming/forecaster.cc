@@ -59,8 +59,7 @@ DemandStats AnalyzeDemandSeries(const DemandSeries& series) {
   return stats;
 }
 
-DemandClass ClassifyDemand(const DemandSeries& series) {
-  const DemandStats stats = AnalyzeDemandSeries(series);
+DemandClass ClassifyDemand(const DemandStats& stats) {
   if (stats.slots < kClassifyMinSlots || stats.total < kClassifyMinTotal) {
     return DemandClass::kSporadic;  // Not enough evidence to say anything.
   }
@@ -74,6 +73,10 @@ DemandClass ClassifyDemand(const DemandSeries& series) {
     return DemandClass::kSporadic;  // Irregular and rare: decline.
   }
   return DemandClass::kBursty;
+}
+
+DemandClass ClassifyDemand(const DemandSeries& series) {
+  return ClassifyDemand(AnalyzeDemandSeries(series));
 }
 
 namespace {
@@ -107,7 +110,7 @@ HybridForecaster::HybridForecaster(double ewma_alpha) : alpha_(ClampAlpha(ewma_a
 Forecast HybridForecaster::Predict(const DemandSeries& history) const {
   Forecast forecast;
   const DemandStats stats = AnalyzeDemandSeries(history);
-  forecast.demand_class = ClassifyDemand(history);
+  forecast.demand_class = ClassifyDemand(stats);
   switch (forecast.demand_class) {
     case DemandClass::kPeriodic:
       if (stats.best_autocorr >= kClassifyPeriodicAutocorr && stats.best_lag > 0 &&

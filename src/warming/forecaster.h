@@ -59,6 +59,9 @@ inline constexpr double kClassifyPeriodicAutocorr = 0.55;  // Spike-train period
 inline constexpr double kClassifySporadicMean = 1.0;   // Irregular + rarer than
                                                        // 1/slot: sporadic.
 
+// Classifies from precomputed statistics, so a caller that needs both the
+// class and the statistics analyses the series once.
+DemandClass ClassifyDemand(const DemandStats& stats);
 DemandClass ClassifyDemand(const DemandSeries& series);
 
 // A per-function prediction for the next demand slot.

@@ -4,6 +4,7 @@
 
 #include "src/zoo/bert.h"
 #include "src/zoo/chain_builder.h"
+#include "src/zoo/registry.h"
 #include "src/zoo/resnet.h"
 #include "src/zoo/vgg.h"
 
@@ -120,6 +121,25 @@ TEST_F(CostModelTest, SystemProfileCpuVsGpu) {
 TEST_F(CostModelTest, InferenceCostGrowsWithModelSize) {
   const SystemProfile profile = SystemProfile::Cpu();
   EXPECT_LT(profile.InferenceCost(BuildResNet(50)), profile.InferenceCost(BuildVgg(16)));
+}
+
+// The record replaces the direct calls on every request path, so each field
+// must be bit-equal to its call — a rounding difference would change which
+// donor or start type the safeguard picks.
+TEST_F(CostModelTest, ModelCostsRecordEqualsDirectCalls) {
+  const ModelRegistry registry = RepresentativeModels();
+  for (const std::string& name : RepresentativeModelNames()) {
+    const Model model = registry.Build(name);
+    for (const SystemProfile& profile : {SystemProfile::Cpu(), SystemProfile::Gpu()}) {
+      const ModelCosts record = ModelCosts::Of(model, costs_, profile);
+      EXPECT_EQ(record.params, model.ParamCount()) << name;
+      EXPECT_EQ(record.weight_bytes, model.WeightBytes()) << name;
+      EXPECT_EQ(record.scratch_load, costs_.ScratchLoadCost(model)) << name;
+      EXPECT_EQ(record.inference, profile.InferenceCost(model)) << name;
+      EXPECT_EQ(record.device_transfer, profile.DeviceTransferCost(model)) << name;
+      EXPECT_EQ(record.container_bytes, ContainerFootprintBytes(model)) << name;
+    }
+  }
 }
 
 }  // namespace

@@ -202,6 +202,68 @@ TEST(PlacementPolicyTest, ModelSharingPlaceOneFollowsSimilarPeers) {
   EXPECT_EQ(node, 0);
 }
 
+// More models than 8 nodes x 2 clusters, mixing chain, CNN and BERT
+// structures so the edit-distance term separates them, with demand series
+// that exercise the correlation term.
+struct MemoFleet {
+  std::vector<Model> models;
+  std::map<std::string, DemandSeries> history;
+
+  std::vector<const Model*> Placed() const {  // All but the last model.
+    std::vector<const Model*> placed;
+    for (size_t i = 0; i + 1 < models.size(); ++i) {
+      placed.push_back(&models[i]);
+    }
+    return placed;
+  }
+  const Model& Newcomer() const { return models.back(); }
+};
+
+MemoFleet MakeMemoFleet() {
+  MemoFleet fleet;
+  for (const int64_t kernel : {1, 3, 5}) {
+    for (const int64_t channels : {8, 16, 32, 64}) {
+      fleet.models.push_back(SmallChain(
+          "chain_k" + std::to_string(kernel) + "_c" + std::to_string(channels), kernel, channels));
+    }
+  }
+  fleet.models.push_back(TinyVgg(11));
+  fleet.models.push_back(TinyVgg(13));
+  fleet.models.push_back(TinyMobileNet());
+  fleet.models.push_back(TinyBert(2, 64));
+  fleet.models.push_back(TinyBert(4, 64));
+  fleet.models.push_back(TinyVgg(16));
+  for (size_t i = 0; i < fleet.models.size(); ++i) {
+    DemandSeries series;
+    for (size_t slot = 0; slot < 8; ++slot) {
+      series.push_back(static_cast<double>((slot * (i + 1)) % 5));
+    }
+    fleet.history[fleet.models[i].name()] = series;
+  }
+  return fleet;
+}
+
+// The model-sharing policy memoizes pair distances across calls; a re-solve
+// at another node count, and an incremental placement after it, must answer
+// exactly what a policy with an empty memo answers.
+TEST(PlacementPolicyTest, ModelSharingMemoMatchesFreshPolicy) {
+  AnalyticCostModel costs;
+  const PlacementOptions options{BalancerKind::kModelSharing};
+  const MemoFleet fleet = MakeMemoFleet();
+  const std::vector<const Model*> placed = fleet.Placed();
+  const auto policy = MakePlacementPolicy(options, &costs);
+  for (const int num_nodes : {8, 7, 8}) {
+    const Placement memoized = policy->Compute(placed, fleet.history, num_nodes);
+    EXPECT_EQ(memoized,
+              MakePlacementPolicy(options, &costs)->Compute(placed, fleet.history, num_nodes))
+        << num_nodes << " nodes";
+  }
+  const PlacementTable current(1, BalancerKind::kModelSharing, 8,
+                               policy->Compute(placed, fleet.history, 8));
+  EXPECT_EQ(policy->PlaceOne(fleet.Newcomer(), placed, current),
+            MakePlacementPolicy(options, &costs)->PlaceOne(fleet.Newcomer(), placed, current));
+}
+
 TEST(PlacementPolicyTest, LoadBasedPlaceOnePicksEmptiestNode) {
   const auto policy = MakePlacementPolicy(PlacementOptions{BalancerKind::kLoadBased}, nullptr);
   const PlacementTable current(1, BalancerKind::kLoadBased, 3, {{"x", 0}, {"y", 0}, {"z", 2}});
@@ -327,6 +389,52 @@ TEST(PlacementConcurrencyTest, InvokeDuringDeployAndRebalanceSwaps) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GE(platform.PlacementVersion(), 5u);  // 5 deploys + 20 rebalances.
   EXPECT_TRUE(platform.CheckContainerIntegrity().empty());
+}
+
+// One model-sharing policy serves a rebalance's Compute and a deploy's
+// PlaceOne from different threads, filling one pair-distance memo from both;
+// every answer must match a single-threaded policy's. Run under TSan with the
+// lock-rank validator in CI.
+TEST(PlacementConcurrencyTest, ModelSharingComputeRacesPlaceOne) {
+  AnalyticCostModel costs;
+  const PlacementOptions options{BalancerKind::kModelSharing};
+  const MemoFleet fleet = MakeMemoFleet();
+  const std::vector<const Model*> placed = fleet.Placed();
+  const Placement expected =
+      MakePlacementPolicy(options, &costs)->Compute(placed, fleet.history, 4);
+  const PlacementTable current(1, BalancerKind::kModelSharing, 4, expected);
+  const int expected_node =
+      MakePlacementPolicy(options, &costs)->PlaceOne(fleet.Newcomer(), placed, current);
+
+  const auto shared = MakePlacementPolicy(options, &costs);
+  std::atomic<int> mismatches{0};
+  const auto compute = [&] {
+    if (shared->Compute(placed, fleet.history, 4) != expected) {
+      mismatches.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  const auto place_one = [&] {
+    if (shared->PlaceOne(fleet.Newcomer(), placed, current) != expected_node) {
+      mismatches.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  // Opposite orders: each thread first plans the pairs the other one does
+  // not, then reads the pairs the other one stored.
+  std::thread rebalancer([&] {
+    for (int i = 0; i < 3; ++i) {
+      compute();
+      place_one();
+    }
+  });
+  std::thread deployer([&] {
+    for (int i = 0; i < 3; ++i) {
+      place_one();
+      compute();
+    }
+  });
+  rebalancer.join();
+  deployer.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // --- placement.rebalance fault point ------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "tests/test_util.h"
 
 namespace optimus {
@@ -22,10 +24,16 @@ class SystemsTest : public testing::Test {
     context_.profile = SystemProfile::Cpu();
   }
 
-  StartupRequest RequestFor(const std::string& function) {
+  // A request for `function` carrying its cost record under `profile` (the
+  // profile of the policy that will serve it).
+  StartupRequest RequestFor(const std::string& function, const SystemProfile& profile) {
     StartupRequest request;
     request.dest = &repository_.at(function);
+    request.dest_costs = &records_.emplace_back(ModelCosts::Of(*request.dest, costs_, profile));
     return request;
+  }
+  StartupRequest RequestFor(const std::string& function) {
+    return RequestFor(function, context_.profile);
   }
 
   Container MakeIdleContainer(const std::string& function, ContainerId id) {
@@ -39,6 +47,7 @@ class SystemsTest : public testing::Test {
   AnalyticCostModel costs_;
   std::map<std::string, Model> repository_;
   std::map<std::string, const Model*> repository_ptrs_;
+  std::deque<ModelCosts> records_;  // Stable addresses for the requests' records.
   PolicyContext context_;
 };
 
@@ -174,7 +183,7 @@ TEST_F(SystemsTest, GpuProfileRaisesColdStartCost) {
   auto cpu_policy = MakeStartupPolicy(SystemType::kOpenWhisk, context_);
   auto gpu_policy = MakeStartupPolicy(SystemType::kOpenWhisk, gpu_context);
   const StartupResult cpu = cpu_policy->Acquire(RequestFor("tiny_vgg19"));
-  const StartupResult gpu = gpu_policy->Acquire(RequestFor("tiny_vgg19"));
+  const StartupResult gpu = gpu_policy->Acquire(RequestFor("tiny_vgg19", gpu_context.profile));
   EXPECT_GT(gpu.init_seconds, cpu.init_seconds);
   EXPECT_GT(gpu.load_seconds, cpu.load_seconds);
 }

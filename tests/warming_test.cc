@@ -98,8 +98,8 @@ TEST(ClassifyTest, RareIrregularArrivalsAreSporadic) {
   const DemandSeries rare = {0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0};
   EXPECT_EQ(ClassifyDemand(rare), DemandClass::kSporadic);
   // Too little history or too few events: sporadic by construction.
-  EXPECT_EQ(ClassifyDemand({5.0, 5.0}), DemandClass::kSporadic);
-  EXPECT_EQ(ClassifyDemand({1.0, 0.0, 0.0, 0.0, 1.0, 0.0}), DemandClass::kSporadic);
+  EXPECT_EQ(ClassifyDemand(DemandSeries{5.0, 5.0}), DemandClass::kSporadic);
+  EXPECT_EQ(ClassifyDemand(DemandSeries{1.0, 0.0, 0.0, 0.0, 1.0, 0.0}), DemandClass::kSporadic);
 }
 
 TEST(ClassifyTest, DemandClassNamesAreStable) {
