@@ -94,12 +94,11 @@ namespace optimus {
 // The global lock hierarchy (DESIGN.md §15 holds the full rank → mutex →
 // protected-state table). Locks must be acquired in strictly increasing rank
 // order; gaps leave room for future locks. The numeric order encodes today's
-// documented protocols, e.g. gateway batch bookkeeping happens strictly
-// before (never across) a platform dispatch, and the invoke path goes
-// node → plan-cache shard → plan-cache entry latch.
+// documented protocols, e.g. tenant admission happens strictly before (never
+// across) a platform dispatch, and the invoke path goes node → plan-cache
+// shard → plan-cache entry latch.
 enum class LockRank : uint32_t {
   kTenantAdmission = 5,   // gateway per-tenant token buckets (service.cc)
-  kGatewayBatch = 10,     // gateway batcher queues (service.cc)
   kRepository = 20,       // platform model repository (shared)
   kPlacementUpdate = 30,  // placement manager table swaps
   kNode = 40,             // per-node container state (NodePool)

@@ -33,8 +33,6 @@ OptimusPlatform::OptimusPlatform(const CostModel* costs, const PlatformOptions& 
                                            "Donor candidates skipped because Decide threw")),
       failed_invokes_(metrics_.GetCounter("optimus_failed_invokes_total", {},
                                           "TryInvoke calls that returned a non-OK status")),
-      warm_batches_(metrics_.GetCounter("optimus_warm_batches_total", {},
-                                        "Batches served fully warm under one node lock")),
       node_revocations_(metrics_.GetCounter("optimus_node_revocations_total", {},
                                             "Node revocations issued (drain or immediate kill)")),
       node_revives_(metrics_.GetCounter("optimus_node_revives_total", {},
@@ -81,8 +79,6 @@ OptimusPlatform::OptimusPlatform(const CostModel* costs, const PlatformOptions& 
                                                "Wall seconds spent per invoke-path phase")),
       inference_seconds_(metrics_.GetHistogram("optimus_phase_seconds", {{"phase", "inference"}},
                                                "Wall seconds spent per invoke-path phase")),
-      batch_size_(metrics_.GetHistogram("optimus_batch_size", {},
-                                        "Requests per TryInvokeBatch dispatch")),
       warming_lead_seconds_(
           metrics_.GetHistogram("optimus_warming_lead_seconds", {},
                                 "Virtual seconds between a pre-warm and its first hit")) {
@@ -321,23 +317,7 @@ bool OptimusPlatform::ExecutePrewarmOrder(const WarmingOrder& order, double now)
   // Full node: pre-transform the cheapest sufficiently-idle donor via the
   // cached plan. Speculation never evicts — a full node with no idle donor
   // means its capacity is earning its keep, so the order is dropped.
-  RealContainer* best_donor = nullptr;
-  double best_cost = 0.0;
-  for (RealContainer& container : node.containers()) {
-    if (now - container.last_active < options_.idle_threshold) {
-      continue;
-    }
-    try {
-      const TransformDecision decision =
-          transformer_->Decide(container.instance.model, model, entry->costs.scratch_load);
-      if (best_donor == nullptr || decision.ChosenCost() < best_cost) {
-        best_donor = &container;
-        best_cost = decision.ChosenCost();
-      }
-    } catch (const std::exception&) {
-      decide_failures_.Inc();
-    }
-  }
+  RealContainer* best_donor = PickDonor(node, model, entry->costs.scratch_load, now);
   if (best_donor == nullptr) {
     warming_skipped_.Inc();
     return false;
@@ -365,6 +345,31 @@ bool OptimusPlatform::ExecutePrewarmOrder(const WarmingOrder& order, double now)
   best_donor->last_active = now;
   warming_prewarms_transform_.Inc();
   return true;
+}
+
+RealContainer* OptimusPlatform::PickDonor(NodePool::LockedNode& node, const Model& model,
+                                          double scratch_load, double now,
+                                          telemetry::TraceContext* trace) {
+  RealContainer* best_donor = nullptr;
+  double best_cost = 0.0;
+  for (RealContainer& container : node.containers()) {
+    if (now - container.last_active < options_.idle_threshold) {
+      continue;
+    }
+    try {
+      const TransformDecision decision =
+          transformer_->Decide(container.instance.model, model, scratch_load, trace);
+      if (best_donor == nullptr || decision.ChosenCost() < best_cost) {
+        best_donor = &container;
+        best_cost = decision.ChosenCost();
+      }
+    } catch (const std::exception&) {
+      // Planning/verification failed for this pair (possibly a transient
+      // injected fault): the candidate is simply not eligible this time.
+      decide_failures_.Inc();
+    }
+  }
+  return best_donor;
 }
 
 size_t OptimusPlatform::PrewarmedContainers() const {
@@ -619,103 +624,6 @@ InvokeResult OptimusPlatform::Invoke(const std::string& function,
   return result;
 }
 
-std::vector<Status> OptimusPlatform::TryInvokeBatch(
-    const std::string& function, const std::vector<const std::vector<float>*>& inputs, double now,
-    std::vector<InvokeResult>* results, const std::vector<telemetry::TraceContext*>* traces) {
-  results->assign(inputs.size(), InvokeResult{});
-  std::vector<Status> statuses(inputs.size(), Status::Ok());
-  if (inputs.empty()) {
-    return statuses;
-  }
-  batch_size_.Observe(static_cast<double>(inputs.size()));
-  now = AdvanceClock(now);
-  const auto trace_for = [&](size_t i) -> telemetry::TraceContext* {
-    return traces != nullptr && i < traces->size() ? (*traces)[i] : nullptr;
-  };
-
-  const FunctionEntry* entry = nullptr;
-  {
-    ReaderLock lock(repository_mutex_);
-    auto model_it = repository_.find(function);
-    if (model_it == repository_.end()) {
-      failed_invokes_.Inc(inputs.size());
-      for (Status& status : statuses) {
-        status = Status(ErrorCode::kNotFound, "Invoke: unknown function " + function);
-      }
-      return statuses;
-    }
-    entry = &model_it->second;  // Map nodes are stable; entries immutable.
-  }
-
-  FinalizeDrains(now);
-
-  // Warm fast path: one route, one node lock, the whole batch drained against
-  // the resident container. Any miss (not warm on the primary, or the node
-  // revoked between routing and locking) falls through to the exact
-  // per-request path below — batching never changes which start type a
-  // request gets, only how many locks a warm run costs.
-  {
-    const int primary = RouteAccepting(function);
-    NodePool::LockedNode node = pool_->Lock(primary);
-    RealContainer* warm = nullptr;
-    if (node.Servable(now)) {
-      ReapNode(node, now);
-      warm = node.FindWarm(function);
-    }
-    if (warm != nullptr) {
-      warm->last_active = now;
-      if (warm->prewarmed) {
-        warm->prewarmed = false;
-        warming_hits_.Inc();
-        warming_lead_seconds_.Observe(std::max(0.0, now - warm->prewarmed_at));
-      }
-      for (size_t i = 0; i < inputs.size(); ++i) {
-        const uint64_t invoke_start_ns = telemetry::MonotonicNanos();
-        telemetry::TraceContext* trace = trace_for(i);
-        telemetry::ScopedSpan invoke_span(trace, "invoke", "platform");
-        InvokeResult& result = (*results)[i];
-        result.node = primary;
-        result.start = StartType::kWarm;
-        result.estimated_latency = entry->costs.inference;
-        try {
-          telemetry::ScopedSpan inference_span(trace, "inference", "inference");
-          const uint64_t inference_start_ns = telemetry::MonotonicNanos();
-          result.output = RunInference(warm->instance, *inputs[i]);
-          inference_seconds_.Observe(
-              static_cast<double>(telemetry::MonotonicNanos() - inference_start_ns) * 1e-9);
-        } catch (const std::exception& error) {
-          failed_invokes_.Inc();
-          statuses[i] = Status(ErrorCode::kInternal, error.what());
-          continue;
-        }
-        const double invoke_seconds =
-            static_cast<double>(telemetry::MonotonicNanos() - invoke_start_ns) * 1e-9;
-        warm_starts_.Inc();
-        invoke_seconds_warm_.Observe(invoke_seconds);
-        if (entry->invoke_seconds != nullptr) {
-          entry->invoke_seconds->Observe(invoke_seconds);
-        }
-        invoke_span.Arg("start", static_cast<double>(StartType::kWarm));
-      }
-      warm_batches_.Inc();
-      if (placement_->RebalanceDue(now)) {
-        RequestRebalance();
-      }
-      if (warming_engine_->Due(now)) {
-        RequestWarming();
-      }
-      return statuses;
-    }
-  }
-
-  // Miss: per-request path. The first request cold-starts (or transforms)
-  // the container; subsequent batches for this function take the fast path.
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    statuses[i] = TryInvoke(function, *inputs[i], now, &(*results)[i], trace_for(i));
-  }
-  return statuses;
-}
-
 InvokeResult OptimusPlatform::InvokeInternal(const std::string& function,
                                              const std::vector<float>& input, double now,
                                              telemetry::TraceContext* trace) {
@@ -830,27 +738,10 @@ InvokeResult OptimusPlatform::InvokeInternal(const std::string& function,
   // node has no free slot; otherwise a fresh container preserves warm state).
   if (chosen == nullptr && node.Full()) {
     RealContainer* best_donor = nullptr;
-    double best_cost = 0.0;
     {
       telemetry::ScopedSpan decide_span(trace, "decide", "platform");
       const uint64_t decide_start_ns = telemetry::MonotonicNanos();
-      for (RealContainer& container : node.containers()) {
-        if (now - container.last_active < options_.idle_threshold) {
-          continue;
-        }
-        try {
-          const TransformDecision decision = transformer_->Decide(
-              container.instance.model, model, model_costs.scratch_load, trace);
-          if (best_donor == nullptr || decision.ChosenCost() < best_cost) {
-            best_donor = &container;
-            best_cost = decision.ChosenCost();
-          }
-        } catch (const std::exception&) {
-          // Planning/verification failed for this pair (possibly a transient
-          // injected fault): the candidate is simply not eligible this request.
-          decide_failures_.Inc();
-        }
-      }
+      best_donor = PickDonor(node, model, model_costs.scratch_load, now, trace);
       decide_seconds_.Observe(
           static_cast<double>(telemetry::MonotonicNanos() - decide_start_ns) * 1e-9);
     }

@@ -212,20 +212,6 @@ class OptimusPlatform {
   InvokeResult Invoke(const std::string& function, const std::vector<float>& input, double now,
                       telemetry::TraceContext* trace = nullptr);
 
-  // Serves a batch of requests for ONE function. When the function is warm on
-  // its primary node the whole batch runs under a single routing decision and
-  // a single node-lock acquisition — the gateway's batcher amortizes the
-  // per-request locking that dominates small-model warm invokes. Otherwise
-  // every request falls back to the exact per-request TryInvoke path (the
-  // first one cold-starts or transforms; later batches hit the warm path).
-  // `results` is resized to match `inputs`; the returned statuses align with
-  // it. `traces` may be null or supply one (possibly null) context per input.
-  // Never throws: per-request failures land in the per-request status.
-  std::vector<Status> TryInvokeBatch(const std::string& function,
-                                     const std::vector<const std::vector<float>*>& inputs,
-                                     double now, std::vector<InvokeResult>* results,
-                                     const std::vector<telemetry::TraceContext*>* traces = nullptr);
-
   // Operational introspection.
   size_t NumFunctions() const;
   size_t NumLiveContainers() const;
@@ -341,6 +327,13 @@ class OptimusPlatform {
   // sufficiently-idle donor. Never evicts (speculation must not displace
   // reactive state). Returns true when a pre-warmed container was produced.
   bool ExecutePrewarmOrder(const WarmingOrder& order, double now);
+  // The donor both the reactive and the speculative path transform: among
+  // `node`'s containers idle for at least idle_threshold at `now`, the one
+  // whose Decide toward `model` has the lowest ChosenCost (the first in
+  // container order wins a tie). A candidate whose Decide throws is skipped
+  // and counted in decide_failures_. Null when no container qualifies.
+  RealContainer* PickDonor(NodePool::LockedNode& node, const Model& model, double scratch_load,
+                           double now, telemetry::TraceContext* trace = nullptr);
 
   const CostModel* costs_;
   PlatformOptions options_;
@@ -388,7 +381,6 @@ class OptimusPlatform {
   telemetry::Counter& transform_fallbacks_;
   telemetry::Counter& decide_failures_;
   telemetry::Counter& failed_invokes_;
-  telemetry::Counter& warm_batches_;
   telemetry::Counter& node_revocations_;
   telemetry::Counter& node_revives_;
   telemetry::Counter& drained_containers_;
@@ -408,7 +400,6 @@ class OptimusPlatform {
   telemetry::Histogram& decide_seconds_;
   telemetry::Histogram& transform_seconds_;
   telemetry::Histogram& inference_seconds_;
-  telemetry::Histogram& batch_size_;
   // Virtual seconds between a speculative prepare and its first warm hit.
   telemetry::Histogram& warming_lead_seconds_;
 };

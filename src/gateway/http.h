@@ -45,7 +45,7 @@ using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 // itself holds no mutex of its own — per-connection state is confined to the
 // pool task that owns the socket, and lifecycle is a pair of atomics — so it
 // sits outside the DESIGN.md §15 lock hierarchy; the locks a request *does*
-// take (gateway batcher, repository, node, plan cache, ...) are all ranked
+// take (tenant admission, repository, node, plan cache, ...) are all ranked
 // and acquired in hierarchy order downstream of the handler.
 class HttpServer {
  public:

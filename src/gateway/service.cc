@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <thread>
 
@@ -299,7 +300,6 @@ HttpResponse OptimusHttpService::InvokeWithRetries(const std::string& function,
     std::this_thread::sleep_for(std::chrono::duration<double>(gateway_.slow_fault_delay));
   }
 
-  Status status;
   for (int attempt = 0;; ++attempt) {
     if (deadline > 0.0 && WallSeconds() - start >= deadline) {
       deadlines_.Inc();
@@ -307,9 +307,7 @@ HttpResponse OptimusHttpService::InvokeWithRetries(const std::string& function,
                        "deadline of " + std::to_string(deadline) + "s exceeded");
     }
     InvokeResult result;
-    status = gateway_.max_batch_size > 1 ? InvokeBatched(function, input, trace, &result)
-                                         : platform_.TryInvoke(function, input, clock_(), &result,
-                                                               trace);
+    const Status status = platform_.TryInvoke(function, input, clock_(), &result, trace);
     if (status.ok()) {
       std::ostringstream body;
       body << "start=" << StartTypeName(result.start) << "\n"
@@ -331,85 +329,6 @@ HttpResponse OptimusHttpService::InvokeWithRetries(const std::string& function,
         gateway_.retry_backoff * static_cast<double>(1 << attempt) * JitterFactor();
     std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
   }
-}
-
-Status OptimusHttpService::InvokeBatched(const std::string& function,
-                                         const std::vector<float>& input,
-                                         telemetry::TraceContext* trace, InvokeResult* result) {
-  PendingInvoke pending;
-  pending.input = &input;
-  pending.trace = trace;
-
-  MutexLock lock(batch_mutex_);
-  std::shared_ptr<FunctionQueue>& slot = batch_queues_[function];
-  if (slot == nullptr) {
-    slot = std::make_shared<FunctionQueue>();
-  }
-  const std::shared_ptr<FunctionQueue> queue = slot;
-  queue->waiting.push_back(&pending);
-  while (!pending.done) {
-    if (queue->leader_active) {
-      // Follower: a leader is dispatching; it will either complete this
-      // request or relinquish leadership (then the oldest waiter leads next).
-      while (!pending.done && queue->leader_active) {
-        batch_cv_.Wait(batch_mutex_);
-      }
-      continue;
-    }
-    // Leader: drain the oldest max_batch_size requests (FIFO — the fairness
-    // bound above) into one platform dispatch, outside the queue mutex.
-    queue->leader_active = true;
-    const size_t limit = static_cast<size_t>(std::max(gateway_.max_batch_size, 1));
-    std::vector<PendingInvoke*> batch;
-    batch.reserve(std::min(limit, queue->waiting.size()));
-    while (!queue->waiting.empty() && batch.size() < limit) {
-      batch.push_back(queue->waiting.front());
-      queue->waiting.pop_front();
-    }
-    lock.Unlock();
-
-    std::vector<const std::vector<float>*> inputs;
-    std::vector<telemetry::TraceContext*> traces;
-    inputs.reserve(batch.size());
-    traces.reserve(batch.size());
-    for (const PendingInvoke* request : batch) {
-      inputs.push_back(request->input);
-      traces.push_back(request->trace);
-    }
-    std::vector<InvokeResult> results;
-    std::vector<Status> statuses;
-    try {
-      statuses = platform_.TryInvokeBatch(function, inputs, clock_(), &results, &traces);
-    } catch (const std::exception& error) {
-      // TryInvokeBatch classifies per-request failures itself; anything that
-      // escapes is a platform bug, but followers must never be left hanging.
-      results.assign(batch.size(), InvokeResult{});
-      statuses.assign(batch.size(), Status(ErrorCode::kInternal, error.what()));
-    }
-
-    lock.Lock();
-    for (size_t i = 0; i < batch.size(); ++i) {
-      batch[i]->status = i < statuses.size() ? statuses[i]
-                                             : Status(ErrorCode::kInternal, "missing batch result");
-      if (i < results.size()) {
-        batch[i]->result = std::move(results[i]);
-      }
-      batch[i]->done = true;
-    }
-    queue->leader_active = false;
-    batch_cv_.NotifyAll();
-  }
-  // Drop the queue entry once idle so the map stays bounded by the number of
-  // functions with requests actually in flight. The shared_ptr keeps the
-  // queue alive for any just-completed waiter still holding its reference.
-  if (queue->waiting.empty() && !queue->leader_active) {
-    auto it = batch_queues_.find(function);
-    if (it != batch_queues_.end() && it->second == queue) {
-      batch_queues_.erase(it);
-    }
-  }
-  *result = std::move(pending.result);
-  return pending.status;
 }
 
 HttpResponse OptimusHttpService::HandleHealthz() {

@@ -51,6 +51,9 @@
 //   503 UNAVAILABLE        transient failure, retries exhausted (or dropped)
 //   504 DEADLINE_EXCEEDED  per-request deadline expired
 //
+// Each /invoke is handed straight to the platform (§7): every attempt is one
+// OptimusPlatform::TryInvoke on the request's own worker thread.
+//
 // Failure hardening (DESIGN.md §11): each /invoke gets a wall-clock deadline;
 // retryable (UNAVAILABLE) platform errors are retried with exponential
 // backoff plus deterministic jitter while the deadline allows; when more than
@@ -61,10 +64,8 @@
 #define OPTIMUS_SRC_GATEWAY_SERVICE_H_
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -89,10 +90,6 @@ struct GatewayOptions {
   int max_inflight_invokes = 64;
   // Delay injected when the "gateway.slow" fault point fires.
   double slow_fault_delay = 0.05;
-  // Requests for the same function coalesced into one platform dispatch
-  // (leader/follower batching — see "Request batching" below); 1 disables
-  // batching and restores the per-request TryInvoke path.
-  int max_batch_size = 8;
   // Per-tenant admission (DESIGN.md §16): requests carrying ?tenant=<id> are
   // admitted through that tenant's token bucket — `tenant_rate` tokens/sec
   // refill, `tenant_burst` capacity (defaults to tenant_rate when <= 0).
@@ -140,29 +137,6 @@ class OptimusHttpService {
   HttpResponse Handle(const HttpRequest& request);
 
  private:
-  // Request batching (DESIGN.md §14): one gateway worker per function becomes
-  // the *leader* and drains up to max_batch_size queued requests into a single
-  // OptimusPlatform::TryInvokeBatch dispatch; the others (*followers*) park on
-  // a condition variable until the leader posts their result. Requests are
-  // served strictly in arrival order, so a request waits at most
-  // ceil(queue position / max_batch_size) dispatches — the fairness bound.
-  // PendingInvoke/FunctionQueue state is protected by batch_mutex_ (the
-  // structs cannot name the outer class's member in a GUARDED_BY, so the
-  // contract is documented here and checked by the dynamic validator): every
-  // field except the leader's private `batch` snapshot is read and written
-  // only between MutexLock(batch_mutex_) and the matching release.
-  struct PendingInvoke {
-    const std::vector<float>* input = nullptr;
-    telemetry::TraceContext* trace = nullptr;
-    Status status;
-    InvokeResult result;
-    bool done = false;
-  };
-  struct FunctionQueue {
-    std::deque<PendingInvoke*> waiting;
-    bool leader_active = false;
-  };
-
   // One tenant's token bucket plus its telemetry series (bound lazily on the
   // tenant's first request). State is guarded by tenant_mutex_.
   struct TenantBucket {
@@ -187,10 +161,6 @@ class OptimusHttpService {
   // The shed-checked, deadline-bounded retry loop; `trace` may be null.
   HttpResponse InvokeWithRetries(const std::string& function, const std::vector<float>& input,
                                  double deadline, telemetry::TraceContext* trace);
-  // One batched invocation attempt: enqueue, then either lead a dispatch or
-  // wait for a leader. Never throws; failures come back as the status.
-  Status InvokeBatched(const std::string& function, const std::vector<float>& input,
-                       telemetry::TraceContext* trace, InvokeResult* result);
   HttpResponse HandleMetrics();
   HttpResponse HandleTrace();
   double JitterFactor();  // Deterministic in [1, 2).
@@ -216,15 +186,6 @@ class OptimusHttpService {
   // kJitter is a leaf rank: JitterFactor holds it for one RNG draw only.
   Mutex jitter_mutex_{LockRank::kJitter, "gateway.jitter"};
   Rng jitter_rng_ GUARDED_BY(jitter_mutex_);
-  // Batcher state: per-function pending queues under one gateway-wide mutex
-  // (held only for queue bookkeeping, never across a platform dispatch —
-  // which is why kGatewayBatch sits at the bottom of the lock hierarchy:
-  // a leader releases it before entering the platform's ranks).
-  // Queues are shared_ptr so a drained entry can be erased from the map while
-  // just-completed waiters still hold their reference.
-  Mutex batch_mutex_{LockRank::kGatewayBatch, "gateway.batch"};
-  CondVar batch_cv_;
-  std::map<std::string, std::shared_ptr<FunctionQueue>> batch_queues_ GUARDED_BY(batch_mutex_);
 };
 
 }  // namespace optimus

@@ -7,6 +7,7 @@
 #include "src/tensor/arena.h"
 
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -291,6 +292,23 @@ struct ResizeCase {
   Shape from;
   Shape to;
 };
+
+// Prints a case as "3x5x7_to_4x2x9". gtest_discover_tests puts the printed
+// parameter into each ctest name, so the default (the struct's bytes, which
+// hold heap pointers) would rename the test on every relink.
+void PrintTo(const ResizeCase& c, std::ostream* os) {
+  const auto dims = [os](const Shape& shape) {
+    if (shape.Rank() == 0) {
+      *os << "scalar";
+    }
+    for (int axis = 0; axis < shape.Rank(); ++axis) {
+      *os << (axis > 0 ? "x" : "") << shape.Dim(axis);
+    }
+  };
+  dims(c.from);
+  *os << "_to_";
+  dims(c.to);
+}
 
 class ResizeOracleTest : public testing::TestWithParam<ResizeCase> {};
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <tuple>
+
 #include "src/core/planner.h"
 #include "src/runtime/inference.h"
 #include "tests/test_util.h"
@@ -112,6 +115,14 @@ struct ExecCase {
   const char* source;
   const char* dest;
 };
+
+// Prints a case as "Basic_vgg11_to_vgg19". gtest_discover_tests puts the
+// printed parameter into each ctest name, so the default (the struct's bytes,
+// which hold string pointers) would rename the test on every relink.
+void PrintTo(const std::tuple<PlannerKind, ExecCase>& param, std::ostream* os) {
+  const auto& [kind, pair] = param;
+  *os << PlannerKindName(kind) << "_" << pair.source << "_to_" << pair.dest;
+}
 
 class ExecutorPropertyTest : public testing::TestWithParam<std::tuple<PlannerKind, ExecCase>> {};
 

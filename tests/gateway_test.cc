@@ -213,70 +213,35 @@ TEST_F(GatewayServiceTest, RebalanceDryRunPreviewsWithoutSwapping) {
   EXPECT_EQ(service_.platform().PlacementVersion(), version + 1);
 }
 
-TEST_F(GatewayServiceTest, ConcurrentInvokesCoalesceIntoBatches) {
+TEST_F(GatewayServiceTest, ConcurrentSameFunctionInvokesAllServedWarm) {
   Post("/deploy?name=vgg11", ModelBody(TinyVgg(11)));
   const HttpResponse reference = Post("/invoke?name=vgg11", "0.5,0.5,0.5");  // Warm it.
   ASSERT_EQ(reference.status, 200);
 
-  // Coalescing needs genuinely overlapping requests, so fire rounds of
-  // concurrent invokes until the platform records a warm batch. One round
-  // almost always suffices; the retry bound only guards against a scheduler
-  // that serializes every thread.
-  telemetry::Counter& warm_batches =
-      service_.platform().metrics().GetCounter("optimus_warm_batches_total");
+  // Overlapping requests for one warm function are all served warm by the
+  // resident container, with the same output, and each counts exactly one
+  // warm start.
+  const size_t warm_before = service_.platform().WarmStarts();
   virtual_time_ = 5.0;
-  for (int round = 0; round < 50 && warm_batches.Value() == 0; ++round) {
-    constexpr int kThreads = 8;
-    std::vector<std::thread> threads;
-    std::vector<HttpResponse> responses(kThreads);
-    threads.reserve(kThreads);
-    for (int i = 0; i < kThreads; ++i) {
-      threads.emplace_back(
-          [this, i, &responses] { responses[static_cast<size_t>(i)] = Post("/invoke?name=vgg11", "0.5,0.5,0.5"); });
-    }
-    for (std::thread& thread : threads) {
-      thread.join();
-    }
-    for (const HttpResponse& response : responses) {
-      ASSERT_EQ(response.status, 200);
-      // Batched dispatch must not change results: same warm start, same output.
-      EXPECT_NE(response.body.find("start=Warm"), std::string::npos);
-      EXPECT_EQ(response.body.substr(response.body.find("output=")),
-                reference.body.substr(reference.body.find("output=")));
-    }
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  std::vector<HttpResponse> responses(kThreads);
+  threads.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([this, i, &responses] {
+      responses[static_cast<size_t>(i)] = Post("/invoke?name=vgg11", "0.5,0.5,0.5");
+    });
   }
-  EXPECT_GT(warm_batches.Value(), 0u);
-}
-
-TEST(GatewayBatchingTest, BatchSizeOneDisablesBatching) {
-  AnalyticCostModel costs;
-  PlatformOptions options;
-  options.containers_per_node = 2;
-  GatewayOptions gateway;
-  gateway.max_batch_size = 1;
-  double virtual_time = 0.0;
-  OptimusHttpService service(&costs, options, gateway, [&] { return virtual_time; });
-
-  const ModelFile file = SerializeModel(TinyVgg(11));
-  HttpRequest deploy;
-  deploy.method = "POST";
-  deploy.path = "/deploy";
-  deploy.query["name"] = "vgg11";
-  deploy.body = std::string(file.begin(), file.end());
-  ASSERT_EQ(service.Handle(deploy).status, 200);
-
-  HttpRequest invoke;
-  invoke.method = "POST";
-  invoke.path = "/invoke";
-  invoke.query["name"] = "vgg11";
-  invoke.body = "0.5,0.5";
-  for (int i = 0; i < 3; ++i) {
-    virtual_time = static_cast<double>(i);
-    EXPECT_EQ(service.Handle(invoke).status, 200);
+  for (std::thread& thread : threads) {
+    thread.join();
   }
-  EXPECT_EQ(service.platform().WarmStarts(), 2u);
-  // The per-request TryInvoke path never touches the batch dispatcher.
-  EXPECT_EQ(service.platform().metrics().GetCounter("optimus_warm_batches_total").Value(), 0u);
+  for (const HttpResponse& response : responses) {
+    ASSERT_EQ(response.status, 200);
+    EXPECT_NE(response.body.find("start=Warm"), std::string::npos);
+    EXPECT_EQ(response.body.substr(response.body.find("output=")),
+              reference.body.substr(reference.body.find("output=")));
+  }
+  EXPECT_EQ(service_.platform().WarmStarts(), warm_before + kThreads);
 }
 
 TEST(GatewaySocketTest, EndToEndOverLoopback) {

@@ -411,7 +411,6 @@ class TenantGatewayTest : public testing::Test {
   static GatewayOptions GatewayOpts() {
     GatewayOptions gateway;
     gateway.tenant_rate = 2.0;  // 2 tokens/sec, burst 2.
-    gateway.max_batch_size = 1;
     return gateway;
   }
 
@@ -515,7 +514,6 @@ TEST(GatewayShedTest, ConcurrentSaturationShedsExactlyOnce) {
   options.containers_per_node = 2;
   GatewayOptions gateway;
   gateway.max_inflight_invokes = 2;
-  gateway.max_batch_size = 1;
   gateway.slow_fault_delay = 0.05;
   OptimusHttpService service(&costs, options, gateway);
   service.platform().Deploy("vgg11", TinyVgg(11));

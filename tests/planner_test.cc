@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <tuple>
 
 #include "src/core/cost_matrix.h"
 #include "tests/test_util.h"
@@ -219,6 +221,14 @@ struct PlannerCase {
   const char* source;
   const char* dest;
 };
+
+// Prints a case as "Basic_vgg11_to_vgg16". gtest_discover_tests puts the
+// printed parameter into each ctest name, so the default (the struct's bytes,
+// which hold string pointers) would rename the test on every relink.
+void PrintTo(const std::tuple<PlannerKind, PlannerCase>& param, std::ostream* os) {
+  const auto& [kind, pair] = param;
+  *os << PlannerKindName(kind) << "_" << pair.source << "_to_" << pair.dest;
+}
 
 class PlannerPropertyTest
     : public testing::TestWithParam<std::tuple<PlannerKind, PlannerCase>> {};

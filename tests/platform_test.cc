@@ -179,54 +179,6 @@ TEST_F(PlatformTest, SafeguardCountsAsColdButReusesContainer) {
   EXPECT_FALSE(result.donor_function.empty());
 }
 
-TEST_F(PlatformTest, BatchWarmPathTakesOneLockForWholeBatch) {
-  platform_.Deploy("vgg", TinyVgg(11));
-  platform_.Invoke("vgg", input_, 0.0);  // Warm the container.
-
-  const uint64_t locks_before = platform_.NodeLockAcquisitions();
-  const size_t warm_before = platform_.WarmStarts();
-  std::vector<const std::vector<float>*> inputs(4, &input_);
-  std::vector<InvokeResult> results;
-  const std::vector<Status> statuses = platform_.TryInvokeBatch("vgg", inputs, 10.0, &results);
-
-  ASSERT_EQ(statuses.size(), 4u);
-  ASSERT_EQ(results.size(), 4u);
-  for (size_t i = 0; i < statuses.size(); ++i) {
-    EXPECT_TRUE(statuses[i].ok()) << statuses[i].message();
-    EXPECT_EQ(results[i].start, StartType::kWarm);
-    EXPECT_EQ(results[i].output, results[0].output);
-  }
-  EXPECT_EQ(platform_.WarmStarts(), warm_before + 4);
-  // The whole warm batch rides one routing decision and one node lock — the
-  // per-dispatch overhead batching exists to amortize.
-  EXPECT_EQ(platform_.NodeLockAcquisitions(), locks_before + 1);
-}
-
-TEST_F(PlatformTest, BatchFallsBackPerRequestWhenNotWarm) {
-  platform_.Deploy("vgg", TinyVgg(11));
-  std::vector<const std::vector<float>*> inputs(2, &input_);
-  std::vector<InvokeResult> results;
-  const std::vector<Status> statuses = platform_.TryInvokeBatch("vgg", inputs, 0.0, &results);
-  ASSERT_EQ(statuses.size(), 2u);
-  EXPECT_TRUE(statuses[0].ok());
-  EXPECT_TRUE(statuses[1].ok());
-  // First request cold-starts the container; the second is served warm by the
-  // per-request fallback.
-  EXPECT_EQ(results[0].start, StartType::kCold);
-  EXPECT_EQ(results[1].start, StartType::kWarm);
-}
-
-TEST_F(PlatformTest, BatchUnknownFunctionFailsEveryRequest) {
-  std::vector<const std::vector<float>*> inputs(3, &input_);
-  std::vector<InvokeResult> results;
-  const std::vector<Status> statuses = platform_.TryInvokeBatch("nope", inputs, 0.0, &results);
-  ASSERT_EQ(statuses.size(), 3u);
-  for (const Status& status : statuses) {
-    EXPECT_EQ(status.code(), ErrorCode::kNotFound);
-  }
-  EXPECT_EQ(platform_.counters().failed_invokes, 3u);
-}
-
 TEST_F(PlatformTest, ArenaRecycledAcrossContainerGenerations) {
   // A dead container banks its arena as a node spare; the next cold start
   // reuses it instead of allocating fresh slabs (DESIGN.md §14).

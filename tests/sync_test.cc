@@ -232,7 +232,7 @@ TEST_F(LockRankTest, CondVarWaitKeepsHeldSetEntry) {
 }
 
 TEST_F(LockRankTest, MutexLockUnlockRelockRoundTrip) {
-  // The condvar-loop idiom RebalancerLoop and InvokeBatched rely on.
+  // The condvar-loop idiom RebalancerLoop and WarmingLoop rely on.
   Mutex mu(LockRank::kRebalance, "test.relock");
   MutexLock lock(mu);
   EXPECT_EQ(lockrank::HeldLockCount(), 1u);
