@@ -90,8 +90,6 @@ void Run(bool smoke) {
   SimConfig config = benchutil::BaseSimConfig(SystemType::kOptimus);
   config.num_nodes = params.num_nodes;
   config.containers_per_node = 8;
-  // The scale path must stay O(nodes + functions): no per-request records.
-  config.records = RecordMode::kOff;
 
   // One shared function table across both scales — the cluster and function
   // universe are identical; only the request count differs.

@@ -82,7 +82,7 @@ int Run(bool smoke) {
   benchutil::PrintRule(95);
   for (const ModeResult& run : runs) {
     std::printf("%-16s %10zu %10.4f %10.4f %10zu %10zu %10zu %10.3f\n", run.mode.c_str(),
-                run.result.records.size(), ColdStartRate(run.result),
+                static_cast<size_t>(run.result.total_requests), ColdStartRate(run.result),
                 run.result.FractionOf(StartType::kWarm), run.result.WarmingPrewarms(),
                 run.result.warming_hits, run.result.warming_waste,
                 run.result.ServiceTimePercentile(0.95));

@@ -8,6 +8,7 @@
 // by transforming an idle neighbor's model.
 
 #include <cstdio>
+#include <optional>
 
 #include "src/sim/simulator.h"
 #include "src/workload/azure.h"
@@ -38,7 +39,15 @@ int main() {
   const AnalyticCostModel costs;
   std::printf("%-12s %12s %8s %11s %8s\n", "system", "service(s)", "cold%", "transform%",
               "warm%");
-  SimResult optimus_result;
+  // The earliest-arriving request Optimus served by transformation. The
+  // observer sees requests in serve order, so keep the lowest ordinal.
+  std::optional<RequestRecord> transformed;
+  const RequestObserver keep_first_transform = [&](const RequestRecord& record) {
+    if (record.start == StartType::kTransform &&
+        (!transformed || record.ordinal < transformed->ordinal)) {
+      transformed = record;
+    }
+  };
   for (const SystemType system : {SystemType::kOpenWhisk, SystemType::kPagurus,
                                   SystemType::kTetris, SystemType::kOptimus}) {
     SimConfig config;
@@ -47,26 +56,23 @@ int main() {
     config.containers_per_node = 4;
     config.placement.kind =
         system == SystemType::kOptimus ? BalancerKind::kModelSharing : BalancerKind::kHash;
-    SimResult result = RunSimulation(models, trace, config, costs);
+    const SimResult result = RunSimulation(
+        models, trace, config, costs,
+        system == SystemType::kOptimus ? keep_first_transform : RequestObserver());
     std::printf("%-12s %12.3f %7.2f%% %10.2f%% %7.2f%%\n", SystemTypeName(system),
                 result.AvgServiceTime(), 100.0 * result.FractionOf(StartType::kCold),
                 100.0 * result.FractionOf(StartType::kTransform),
                 100.0 * result.FractionOf(StartType::kWarm));
-    if (system == SystemType::kOptimus) {
-      optimus_result = std::move(result);
-    }
   }
 
   // Show one transformed request end to end.
-  for (const RequestRecord& record : optimus_result.records) {
-    if (record.start == StartType::kTransform) {
-      std::printf(
-          "\nexample transformed request: function=%s arrived t=%.1fs\n"
-          "  wait %.3fs + init %.3fs + transform %.3fs + compute %.3fs = %.3fs total\n",
-          record.function.c_str(), record.arrival, record.wait, record.init, record.load,
-          record.compute, record.ServiceTime());
-      break;
-    }
+  if (transformed) {
+    const RequestRecord& record = *transformed;
+    std::printf(
+        "\nexample transformed request: function=%s arrived t=%.1fs\n"
+        "  wait %.3fs + init %.3fs + transform %.3fs + compute %.3fs = %.3fs total\n",
+        trace[record.ordinal].function.c_str(), record.arrival, record.wait, record.init,
+        record.load, record.compute, record.ServiceTime());
   }
   return 0;
 }

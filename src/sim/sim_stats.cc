@@ -51,26 +51,4 @@ double LatencyHistogram::Percentile(double q) const {
   return max_;
 }
 
-void ReservoirSample::Add(double value) {
-  ++seen_;
-  if (samples_.size() < capacity_) {
-    samples_.push_back(value);
-    return;
-  }
-  if (capacity_ == 0) {
-    return;
-  }
-  const uint64_t slot =
-      static_cast<uint64_t>(rng_.UniformInt(0, static_cast<int64_t>(seen_) - 1));
-  if (slot < capacity_) {
-    samples_[static_cast<size_t>(slot)] = value;
-  }
-}
-
-std::vector<double> ReservoirSample::Sorted() const {
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  return sorted;
-}
-
 }  // namespace optimus

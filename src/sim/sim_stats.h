@@ -1,21 +1,18 @@
-// Streaming simulation statistics (DESIGN.md §18): constant-memory
-// accumulators that replace the per-request RequestRecord vector at scale.
+// Streaming simulation statistics (DESIGN.md §18): a constant-memory
+// service-time distribution, so the simulator's accounting stays
+// independent of request count.
 //
-//   * LatencyHistogram — log-bucketed (5% geometric buckets): percentiles to
-//     within one bucket's relative width, in a few KB regardless of count;
-//   * ReservoirSample  — seeded Algorithm-R reservoir: an unbiased
-//     fixed-size sample of service times for exact-sample diagnostics.
-//
-// Both are deterministic in the input sequence (the reservoir additionally
-// in its seed), so two simulator runs produce bit-identical summaries.
+// LatencyHistogram is log-bucketed (5% geometric buckets): percentiles to
+// within one bucket's relative width, in a few KB regardless of count. It is
+// deterministic in its input sequence, so two simulator runs produce
+// bit-identical summaries.
 
 #ifndef OPTIMUS_SRC_SIM_SIM_STATS_H_
 #define OPTIMUS_SRC_SIM_SIM_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "src/common/rng.h"
 
 namespace optimus {
 
@@ -36,9 +33,9 @@ class LatencyHistogram {
   double max() const { return max_; }
   double Mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
 
-  // Quantile q in [0, 1] using the same rank convention as the record-based
-  // path (rank = min(count-1, floor(q * count))); returns the geometric
-  // midpoint of the rank's bucket, clamped into [min, max].
+  // Quantile q in [0, 1] with the nearest-rank convention
+  // rank = min(count-1, floor(q * count)); returns the geometric midpoint of
+  // the rank's bucket, clamped into [min, max].
   double Percentile(double q) const;
 
   // Exposed for determinism tests: bit-identical runs produce bit-identical
@@ -53,26 +50,6 @@ class LatencyHistogram {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-// Fixed-capacity uniform sample (Vitter's Algorithm R) over a stream.
-// Deterministic from the seed and the input sequence.
-class ReservoirSample {
- public:
-  explicit ReservoirSample(size_t capacity = 4096, uint64_t seed = 0x0ccab5eed)
-      : rng_(seed), capacity_(capacity) {}
-
-  void Add(double value);
-
-  uint64_t seen() const { return seen_; }
-  const std::vector<double>& samples() const { return samples_; }
-  std::vector<double> Sorted() const;
-
- private:
-  Rng rng_;
-  size_t capacity_;
-  uint64_t seen_ = 0;
-  std::vector<double> samples_;
 };
 
 }  // namespace optimus

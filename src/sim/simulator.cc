@@ -83,13 +83,16 @@ struct NodeState {
 class Simulation {
  public:
   Simulation(const SimWorkload& workload, TraceSource* source, const SimConfig& config,
-             const CostModel& costs)
+             const CostModel& costs, const RequestObserver& observer)
       : source_(source),
         config_(config),
         functions_(workload.functions),
         history_(workload.history),
-        records_on_(config.records == RecordMode::kOn) {
+        observer_(observer) {
     const std::vector<Model>& models = *workload.models;
+    if (config.containers_per_node < 1) {
+      throw std::invalid_argument("RunSimulation: containers_per_node must be >= 1");
+    }
 
     // Distinct models in name order — the iteration order the pre-streaming
     // simulator's by-value repository map gave the placement solver. The
@@ -124,6 +127,12 @@ class Simulation {
         const Model& model = models[static_cast<size_t>(model_index)];
         model_of_[fn] = &model;
         costs_of_[fn] = &model_costs_[static_cast<size_t>(model_index)];
+        // A container no node can hold would leave its requests queued forever.
+        if (config.node_memory_bytes > 0 &&
+            ContainerBytes(*costs_of_[fn]) > config.node_memory_bytes) {
+          throw std::invalid_argument("RunSimulation: a container of " + model.name() +
+                                      " exceeds node_memory_bytes");
+        }
         // Function-name view for the startup policies' donor-model lookups.
         repository_.emplace(functions_->Name(static_cast<FunctionId>(fn)), &model);
       }
@@ -157,10 +166,6 @@ class Simulation {
       warming_engine_ = std::make_unique<WarmingEngine>(config.warming);
       warming_demand_ = std::make_unique<DemandAccumulator>(/*max_slots=*/64);
       served_counts_.assign(num_functions, 0);
-    }
-    result_.service_sample = ReservoirSample(config.sample_capacity, config.sample_seed);
-    if (records_on_ && source->SizeHint() > 0) {
-      result_.records.reserve(source->SizeHint());
     }
   }
 
@@ -221,9 +226,7 @@ class Simulation {
   }
 
   // Pulls the next arrival from the source into the event queue (at most one
-  // is ever pending). Under RecordMode::kOn this also grows the records
-  // vector — arrivals are pulled in ordinal order, so records[ordinal] is the
-  // slot just appended.
+  // is ever pending).
   void PullArrival() {
     Arrival arrival;
     if (!source_->Next(&arrival)) {
@@ -234,9 +237,6 @@ class Simulation {
     event.type = EventType::kArrival;
     event.ordinal = next_ordinal_++;
     event.fn = arrival.function;
-    if (records_on_) {
-      result_.records.emplace_back();
-    }
     Schedule(event, kBandArrival, &arrival_seq_);
   }
 
@@ -481,11 +481,7 @@ class Simulation {
       return;
     }
 
-    int64_t needed_memory = 0;
-    if (config_.node_memory_bytes > 0) {
-      needed_memory = config_.fine_grained_containers ? costs.container_bytes
-                                                      : config_.uniform_container_bytes;
-    }
+    const int64_t needed_memory = ContainerBytes(costs);
     StartupRequest request;
     request.dest = model_of_[static_cast<size_t>(fn)];
     request.dest_costs = &costs;
@@ -548,9 +544,17 @@ class Simulation {
     }
   }
 
-  // Folds one served request into the streaming accumulators. Runs at serve
-  // time (not trace order), so aggregate float sums can differ in rounding
-  // from the record-order sums — accessors prefer records when present.
+  // Memory a new container for the model takes (0 when memory is unmodeled).
+  int64_t ContainerBytes(const ModelCosts& costs) const {
+    if (config_.node_memory_bytes <= 0) {
+      return 0;
+    }
+    return config_.fine_grained_containers ? costs.container_bytes
+                                           : config_.uniform_container_bytes;
+  }
+
+  // Folds one served request into the accumulators and shows it to the
+  // observer. Runs at serve time, so sums fold in serve order.
   void Commit(const RequestRecord& record) {
     ++result_.total_requests;
     result_.sum_wait += record.wait;
@@ -558,9 +562,10 @@ class Simulation {
     result_.sum_load += record.load;
     result_.sum_compute += record.compute;
     ++result_.start_counts[static_cast<size_t>(record.start)];
-    const double service = record.ServiceTime();
-    result_.service_hist.Record(service);
-    result_.service_sample.Add(service);
+    result_.service_hist.Record(record.ServiceTime());
+    if (observer_) {
+      observer_(record);
+    }
   }
 
   // Attempts to serve the request on its node right now; returns false if it
@@ -571,14 +576,9 @@ class Simulation {
     const ModelCosts& costs = *costs_of_[static_cast<size_t>(fn)];
     node.pool.ReapExpired(now);
 
-    // Record-off mode writes into a stack scratch and skips the function-name
-    // copy; every field is assigned on every serve path below.
-    RequestRecord scratch;
-    RequestRecord& record =
-        records_on_ ? result_.records[static_cast<size_t>(queued.ordinal)] : scratch;
-    if (records_on_) {
-      record.function = functions_->Name(fn);
-    }
+    RequestRecord record;
+    record.function = fn;
+    record.ordinal = queued.ordinal;
     record.arrival = queued.arrival;
     record.wait = now - record.arrival;
     record.compute = costs.inference;
@@ -602,12 +602,7 @@ class Simulation {
       return true;
     }
 
-    // Memory the new container would need (0 when memory is unmodeled).
-    int64_t needed_memory = 0;
-    if (config_.node_memory_bytes > 0) {
-      needed_memory = config_.fine_grained_containers ? costs.container_bytes
-                                                      : config_.uniform_container_bytes;
-    }
+    const int64_t needed_memory = ContainerBytes(costs);
 
     StartupRequest request;
     request.dest = model_of_[static_cast<size_t>(fn)];
@@ -691,7 +686,7 @@ class Simulation {
   SimConfig config_;
   const FunctionTable* functions_;
   const std::map<std::string, DemandSeries>& history_;
-  const bool records_on_;
+  const RequestObserver& observer_;
   double horizon_ = 0.0;
   VirtualClock clock_;
 
@@ -734,102 +729,14 @@ class Simulation {
   SimResult result_;
 };
 
-double Average(const std::vector<RequestRecord>& records, double (*get)(const RequestRecord&)) {
-  if (records.empty()) {
-    return 0.0;
-  }
-  double total = 0.0;
-  for (const RequestRecord& record : records) {
-    total += get(record);
-  }
-  return total / static_cast<double>(records.size());
-}
-
 }  // namespace
 
-double SimResult::AvgServiceTime() const {
-  if (!records.empty()) {
-    return Average(records, [](const RequestRecord& r) { return r.ServiceTime(); });
-  }
-  return service_hist.Mean();
-}
-
-double SimResult::AvgWait() const {
-  if (!records.empty()) {
-    return Average(records, [](const RequestRecord& r) { return r.wait; });
-  }
-  return total_requests == 0 ? 0.0 : sum_wait / static_cast<double>(total_requests);
-}
-
-double SimResult::AvgInit() const {
-  if (!records.empty()) {
-    return Average(records, [](const RequestRecord& r) { return r.init; });
-  }
-  return total_requests == 0 ? 0.0 : sum_init / static_cast<double>(total_requests);
-}
-
-double SimResult::AvgLoad() const {
-  if (!records.empty()) {
-    return Average(records, [](const RequestRecord& r) { return r.load; });
-  }
-  return total_requests == 0 ? 0.0 : sum_load / static_cast<double>(total_requests);
-}
-
-double SimResult::AvgCompute() const {
-  if (!records.empty()) {
-    return Average(records, [](const RequestRecord& r) { return r.compute; });
-  }
-  return total_requests == 0 ? 0.0 : sum_compute / static_cast<double>(total_requests);
-}
-
-size_t SimResult::CountOf(StartType type) const {
-  if (records.empty()) {
-    return static_cast<size_t>(start_counts[static_cast<size_t>(type)]);
-  }
-  size_t count = 0;
-  for (const RequestRecord& record : records) {
-    if (record.start == type) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-double SimResult::ServiceTimePercentile(double q) const {
-  if (records.empty()) {
-    return service_hist.Percentile(q);
-  }
-  // Memoized sort: the old implementation re-sorted every record on every
-  // call, turning a percentile sweep into repeated O(n log n) work.
-  if (sorted_service_times_.empty()) {
-    sorted_service_times_.reserve(records.size());
-    for (const RequestRecord& record : records) {
-      sorted_service_times_.push_back(record.ServiceTime());
-    }
-    std::sort(sorted_service_times_.begin(), sorted_service_times_.end());
-  }
-  const double clamped = std::min(1.0, std::max(0.0, q));
-  const size_t index = std::min(
-      sorted_service_times_.size() - 1,
-      static_cast<size_t>(clamped * static_cast<double>(sorted_service_times_.size())));
-  return sorted_service_times_[index];
-}
-
-double SimResult::FractionOf(StartType type) const {
-  if (records.empty()) {
-    return total_requests == 0
-               ? 0.0
-               : static_cast<double>(CountOf(type)) / static_cast<double>(total_requests);
-  }
-  return static_cast<double>(CountOf(type)) / static_cast<double>(records.size());
-}
-
 SimResult RunSimulation(const std::vector<Model>& models, const Trace& trace,
-                        const SimConfig& config, const CostModel& costs) {
-  // Adapter onto the streaming core: intern the trace's functions, map each
-  // to its model by name (first model wins a duplicated name, like the old
-  // by-value repository map), and resolve RecordMode::kAuto to kOn so every
-  // existing caller keeps its per-request records.
+                        const SimConfig& config, const CostModel& costs,
+                        const RequestObserver& observer) {
+  // Adapter onto the streaming core: intern the trace's functions and map
+  // each to its model by name (first model wins a duplicated name, like the
+  // old by-value repository map).
   FunctionTable functions;
   SimWorkload workload;
   workload.models = &models;
@@ -850,20 +757,13 @@ SimResult RunSimulation(const std::vector<Model>& models, const Trace& trace,
   const double horizon = trace.empty() ? 1.0 : trace.back().arrival + 1.0;
   workload.history = DemandHistory(trace, horizon, /*slot_seconds=*/300.0);
   TraceVectorSource source(trace, &functions);
-  SimConfig resolved = config;
-  if (resolved.records == RecordMode::kAuto) {
-    resolved.records = RecordMode::kOn;
-  }
-  return RunSimulationStream(workload, &source, resolved, costs);
+  return RunSimulationStream(workload, &source, config, costs, observer);
 }
 
 SimResult RunSimulationStream(const SimWorkload& workload, TraceSource* source,
-                              const SimConfig& config, const CostModel& costs) {
-  SimConfig resolved = config;
-  if (resolved.records == RecordMode::kAuto) {
-    resolved.records = RecordMode::kOff;
-  }
-  Simulation simulation(workload, source, resolved, costs);
+                              const SimConfig& config, const CostModel& costs,
+                              const RequestObserver& observer) {
+  Simulation simulation(workload, source, config, costs, observer);
   return simulation.Run();
 }
 

@@ -11,19 +11,20 @@
 // The core is *streaming*: arrivals are pulled one at a time from a
 // TraceSource (only the next arrival lives in the event queue), warming
 // cycles and churn events schedule their successors lazily from their
-// handlers, and accounting accumulates into log-bucketed histograms plus a
-// seeded reservoir sample. Simulation memory is therefore
-// O(nodes + functions + histogram buckets) — independent of request count —
-// which is what lets bench_sim_scale push ≥1M requests over ≥1000 nodes in
-// one pass. Per-request records remain available (RecordMode) for the
-// small-trace ablation benches and tests, bit-for-bit compatible with the
-// pre-streaming simulator.
+// handlers, and accounting is one set of running counters plus a
+// log-bucketed service-time histogram, folded in as each request is served.
+// Simulation memory is therefore O(nodes + functions + histogram buckets) —
+// independent of request count — which is what lets bench_sim_scale push
+// ≥1M requests over ≥1000 nodes in one pass. A caller that needs
+// per-request detail passes a RequestObserver, which sees each served
+// request's RequestRecord once, in serve order.
 
 #ifndef OPTIMUS_SRC_SIM_SIMULATOR_H_
 #define OPTIMUS_SRC_SIM_SIMULATOR_H_
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -57,11 +58,10 @@ struct NodeChurnEvent {
   double grace = 0.0;
 };
 
-// Whether the simulator keeps one RequestRecord per request (O(requests)
-// memory). kAuto resolves to kOn for the materialized-Trace entry point
-// (existing benches and tests read `records`) and kOff for the streaming
-// entry point (scale runs must stay bounded).
-enum class RecordMode : uint8_t { kAuto = 0, kOn, kOff };
+// Vestige of the deleted per-request records path: its only value is kOff,
+// and the simulator ignores it. bench/e2e still sets SimConfig::records, so
+// the next benchmark change drops that line and then deletes this enum.
+enum class RecordMode : uint8_t { kOff = 0 };
 
 struct SimConfig {
   SystemType system = SystemType::kOptimus;
@@ -77,11 +77,8 @@ struct SimConfig {
   PlacementOptions placement;
   PlannerKind planner = PlannerKind::kGroup;
 
-  // --- Streaming accounting (DESIGN.md §18). --------------------------------
-  RecordMode records = RecordMode::kAuto;
-  // Capacity and seed of the service-time reservoir sample.
-  size_t sample_capacity = 4096;
-  uint64_t sample_seed = 0x0ccab5eed;
+  // Vestige, ignored (see RecordMode).
+  RecordMode records = RecordMode::kOff;
 
   // --- Memory modeling (§6 "fine-grained resource allocation"). -------------
   // Per-node memory budget; 0 disables memory accounting entirely.
@@ -108,9 +105,12 @@ struct SimConfig {
   WarmingOptions warming;
 };
 
-// Per-request latency decomposition (RecordMode::kOn only).
+// One served request's latency decomposition, handed to a RequestObserver.
 struct RequestRecord {
-  std::string function;
+  FunctionId function = kInvalidFunction;
+  // Arrival index (0-based) in the source's order; the trace position under
+  // RunSimulation.
+  uint64_t ordinal = 0;
   double arrival = 0.0;
   double wait = 0.0;     // Queueing delay on the node.
   double init = 0.0;     // Sandbox/runtime/GPU initialization.
@@ -121,14 +121,11 @@ struct RequestRecord {
   double ServiceTime() const { return wait + init + load + compute; }
 };
 
-struct SimResult {
-  // Per-request records; populated only under RecordMode::kOn (the default
-  // for the materialized-Trace entry point). When present, every aggregate
-  // accessor below computes from the records — bit-for-bit the pre-streaming
-  // behavior.
-  std::vector<RequestRecord> records;
+// Called once per served request, in serve order (not arrival order).
+using RequestObserver = std::function<void(const RequestRecord&)>;
 
-  // --- Streaming accounting (always populated; DESIGN.md §18). --------------
+struct SimResult {
+  // --- Request accounting: one fold per served request (DESIGN.md §18). -----
   uint64_t total_requests = 0;
   double sum_wait = 0.0;
   double sum_init = 0.0;
@@ -138,8 +135,6 @@ struct SimResult {
   std::array<uint64_t, 3> start_counts{};
   // Log-bucketed service-time distribution (~5% relative resolution).
   LatencyHistogram service_hist;
-  // Seeded uniform sample of service times.
-  ReservoirSample service_sample;
 
   // Node-churn accounting (all zero when SimConfig::churn is empty).
   size_t revocations = 0;
@@ -152,7 +147,7 @@ struct SimResult {
 
   // Forecast-driven warming accounting (all zero when SimConfig::warming is
   // disabled) — the same bucket semantics as PlatformCounters: speculative
-  // work never touches the per-request start-type records, and
+  // work never touches the per-request start-type counts, and
   //   prewarms_cold + prewarms_transform == hits + waste + unused.
   size_t warming_cycles = 0;
   size_t warming_orders = 0;
@@ -169,25 +164,22 @@ struct SimResult {
 
   size_t WarmingPrewarms() const { return warming_prewarms_cold + warming_prewarms_transform; }
 
-  double AvgServiceTime() const;
-  double AvgWait() const;
-  double AvgInit() const;
-  double AvgLoad() const;
-  double AvgCompute() const;
+  double AvgServiceTime() const { return service_hist.Mean(); }
+  double AvgWait() const { return PerRequest(sum_wait); }
+  double AvgInit() const { return PerRequest(sum_init); }
+  double AvgLoad() const { return PerRequest(sum_load); }
+  double AvgCompute() const { return PerRequest(sum_compute); }
+  size_t CountOf(StartType type) const { return start_counts[static_cast<size_t>(type)]; }
   // Fraction of requests served via the given start type, in [0, 1].
-  double FractionOf(StartType type) const;
-  size_t CountOf(StartType type) const;
-
-  // Service-time percentile (q in [0, 1], e.g. 0.5 / 0.95 / 0.99). With
-  // records, exact against a lazily sorted (memoized) copy; without, read
-  // from the log-bucketed histogram (within one bucket's relative width).
-  // Not thread-safe on first call (builds the memo).
-  double ServiceTimePercentile(double q) const;
+  double FractionOf(StartType type) const { return PerRequest(static_cast<double>(CountOf(type))); }
+  // Service-time percentile (q in [0, 1], e.g. 0.5 / 0.95 / 0.99), read from
+  // the log-bucketed histogram: within one bucket's relative width.
+  double ServiceTimePercentile(double q) const { return service_hist.Percentile(q); }
 
  private:
-  // Memoized sorted service times for the record-based percentile path —
-  // sorting all records per call was the old O(n log n)-per-query cost.
-  mutable std::vector<double> sorted_service_times_;
+  double PerRequest(double sum) const {
+    return total_requests == 0 ? 0.0 : sum / static_cast<double>(total_requests);
+  }
 };
 
 // The function universe a streaming simulation serves. Functions alias model
@@ -209,15 +201,19 @@ struct SimWorkload {
 // Runs the trace through a cluster of the configured system. `models` are the
 // registered (structure-only) models; every function in `trace` must appear.
 // Materializes nothing extra: this is the streaming core behind a
-// TraceVectorSource adapter with RecordMode::kAuto resolving to kOn.
+// TraceVectorSource adapter. A record's `ordinal` is its trace position.
 SimResult RunSimulation(const std::vector<Model>& models, const Trace& trace,
-                        const SimConfig& config, const CostModel& costs);
+                        const SimConfig& config, const CostModel& costs,
+                        const RequestObserver& observer = {});
 
 // Streaming entry point: pulls arrivals from `source` (which must emit only
-// functions present in `workload.functions`). RecordMode::kAuto resolves to
-// kOff — memory stays O(nodes + functions), independent of request count.
+// functions present in `workload.functions`). Memory stays O(nodes +
+// functions), independent of request count. Throws std::invalid_argument for
+// a cluster that can never serve a request: no container slots, or modeled
+// node memory smaller than the container of a function it serves.
 SimResult RunSimulationStream(const SimWorkload& workload, TraceSource* source,
-                              const SimConfig& config, const CostModel& costs);
+                              const SimConfig& config, const CostModel& costs,
+                              const RequestObserver& observer = {});
 
 }  // namespace optimus
 

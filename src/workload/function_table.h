@@ -5,7 +5,7 @@
 // lookup all key on the function. A FunctionTable interns every function name
 // once into a dense FunctionId, so the hot path indexes flat arrays
 // (FunctionId -> model / node / scratch cost / served count) and strings only
-// appear at the edges — trace parsing, warming-order names, and records.
+// appear at the edges — trace parsing, warming-order names, error messages.
 
 #ifndef OPTIMUS_SRC_WORKLOAD_FUNCTION_TABLE_H_
 #define OPTIMUS_SRC_WORKLOAD_FUNCTION_TABLE_H_

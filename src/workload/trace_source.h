@@ -31,8 +31,8 @@ struct Arrival {
 };
 
 // A time-ordered arrival stream. Next() yields arrivals with non-decreasing
-// time; implementations must be deterministic (replays and the
-// streaming-vs-records equivalence tests depend on it).
+// time; implementations must be deterministic (replays and the simulator's
+// determinism tests depend on it).
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
@@ -46,7 +46,9 @@ class TraceSource {
   // interval until the horizon), matching the legacy `last arrival + 1`.
   virtual double Horizon() const = 0;
 
-  // Total arrivals when known up front, 0 when unknown. A sizing hint only.
+  // Vestige: nothing reads it since the simulator's per-request records were
+  // deleted. bench/e2e's TimingSource still overrides it, so the next
+  // benchmark change drops that override and then deletes this.
   virtual uint64_t SizeHint() const { return 0; }
 };
 
@@ -61,7 +63,6 @@ class TraceVectorSource final : public TraceSource {
 
   bool Next(Arrival* out) override;
   double Horizon() const override;
-  uint64_t SizeHint() const override { return trace_.size(); }
 
  private:
   const Trace& trace_;

@@ -335,19 +335,36 @@ TEST(ConcurrencyPlatformTest, InvokeDuringDeployServesBothFunctions) {
   platform.Deploy("resident", TinyVgg(11));
   const std::vector<float> input(8, 0.5f);
 
-  std::thread deployer([&] { platform.Deploy("incoming", TinyVgg(16)); });
-  std::atomic<size_t> served{0};
-  std::thread invoker([&] {
-    for (int i = 0; i < 8; ++i) {
-      served.fetch_add(platform.Invoke("resident", input, 0.0).output.empty() ? 0 : 1);
+  // Invokers look `resident` up for as long as the deployer inserts small
+  // models, so under TSan the lookups overlap repository inserts: a lookup
+  // without the repository reader lock is a reported race.
+  constexpr int kDeploys = 16;
+  std::atomic<bool> deploying{true};
+  std::thread deployer([&] {
+    for (int i = 0; i < kDeploys; ++i) {
+      platform.Deploy("incoming" + std::to_string(i), SmallChain("small", 3, 8));
     }
+    deploying.store(false);
   });
+  std::atomic<size_t> served{0};
+  std::vector<std::thread> invokers;
+  for (int t = 0; t < 2; ++t) {
+    invokers.emplace_back([&] {
+      do {
+        served.fetch_add(platform.Invoke("resident", input, 0.0).output.empty() ? 0 : 1);
+      } while (deploying.load());
+    });
+  }
   deployer.join();
-  invoker.join();
+  for (auto& invoker : invokers) {
+    invoker.join();
+  }
 
-  EXPECT_EQ(served.load(), 8u);
-  EXPECT_FALSE(platform.Invoke("incoming", input, 1.0).output.empty());
-  EXPECT_EQ(platform.WarmStarts() + platform.Transforms() + platform.ColdStarts(), 9u);
+  EXPECT_EQ(platform.NumFunctions(), 1u + kDeploys);
+  EXPECT_FALSE(platform.Invoke("incoming" + std::to_string(kDeploys - 1), input, 1.0)
+                   .output.empty());
+  EXPECT_EQ(platform.WarmStarts() + platform.Transforms() + platform.ColdStarts(),
+            served.load() + 1);
 }
 
 // --- HTTP gateway -------------------------------------------------------------

@@ -660,8 +660,8 @@ TEST_F(SimChurnTest, ChurnServesEveryRequestAndAccounts) {
   config_.churn.push_back({150.0, 0, false, 0.0});   // Kill node 0.
   config_.churn.push_back({400.0, 0, true, 0.0});    // Revive it.
   const SimResult result = RunSimulation(models_, trace, config_, costs_);
-  // Zero lost/duplicated: every arrival produced exactly one record.
-  EXPECT_EQ(result.records.size(), trace.size());
+  // Zero lost/duplicated: every arrival was served exactly once.
+  EXPECT_EQ(result.total_requests, trace.size());
   EXPECT_EQ(result.CountOf(StartType::kWarm) + result.CountOf(StartType::kTransform) +
                 result.CountOf(StartType::kCold),
             trace.size());
@@ -675,7 +675,7 @@ TEST_F(SimChurnTest, GracefulDrainReclaimsAfterWindow) {
   const Trace trace = SteadyTrace(600.0, 20.0);
   config_.churn.push_back({100.0, 1, false, 80.0});  // Drain with grace.
   const SimResult result = RunSimulation(models_, trace, config_, costs_);
-  EXPECT_EQ(result.records.size(), trace.size());
+  EXPECT_EQ(result.total_requests, trace.size());
   EXPECT_EQ(result.revocations, 1u);
   EXPECT_EQ(result.revives, 0u);
 }
@@ -684,13 +684,16 @@ TEST_F(SimChurnTest, ChurnRunsAreDeterministic) {
   const Trace trace = SteadyTrace(500.0, 15.0);
   config_.churn.push_back({120.0, 0, false, 50.0});
   config_.churn.push_back({300.0, 0, true, 0.0});
-  const SimResult a = RunSimulation(models_, trace, config_, costs_);
-  const SimResult b = RunSimulation(models_, trace, config_, costs_);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].function, b.records[i].function);
-    EXPECT_DOUBLE_EQ(a.records[i].ServiceTime(), b.records[i].ServiceTime());
-    EXPECT_EQ(a.records[i].start, b.records[i].start);
+  std::vector<RequestRecord> a_records;
+  std::vector<RequestRecord> b_records;
+  const SimResult a = RunSimulation(models_, trace, config_, costs_, RecordByOrdinal(&a_records));
+  const SimResult b = RunSimulation(models_, trace, config_, costs_, RecordByOrdinal(&b_records));
+  ASSERT_EQ(a.total_requests, trace.size());
+  ASSERT_EQ(a_records.size(), b_records.size());
+  for (size_t i = 0; i < a_records.size(); ++i) {
+    EXPECT_EQ(a_records[i].function, b_records[i].function);
+    EXPECT_DOUBLE_EQ(a_records[i].ServiceTime(), b_records[i].ServiceTime());
+    EXPECT_EQ(a_records[i].start, b_records[i].start);
   }
   EXPECT_EQ(a.revocations, b.revocations);
   EXPECT_EQ(a.reclaimed_containers, b.reclaimed_containers);

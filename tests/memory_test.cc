@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/container/container.h"
 #include "src/sim/simulator.h"
 #include "tests/test_util.h"
@@ -131,11 +133,57 @@ TEST_F(MemorySimTest, AllRequestsStillServedUnderMemoryPressure) {
     config.fine_grained_containers = fine_grained;
     const Trace trace = RoundRobinTrace(4, 45.0);
     const SimResult result = RunSimulation(models_, trace, config, costs_);
-    EXPECT_EQ(result.records.size(), trace.size());
+    EXPECT_EQ(result.total_requests, trace.size());
     EXPECT_EQ(result.CountOf(StartType::kWarm) + result.CountOf(StartType::kTransform) +
                   result.CountOf(StartType::kCold),
               trace.size());
   }
+}
+
+TEST_F(MemorySimTest, UniformContainerLargerThanNodeThrows) {
+  SimConfig config = config_;
+  config.uniform_container_bytes = 3 * kGiB;  // The node holds 2 GiB.
+  const Trace trace = RoundRobinTrace(1, 10.0);
+  EXPECT_THROW(RunSimulation(models_, trace, config, costs_), std::invalid_argument);
+  // Fine-grained sizing ignores the uniform size; these tiny models fit.
+  config.fine_grained_containers = true;
+  EXPECT_NO_THROW(RunSimulation(models_, trace, config, costs_));
+}
+
+TEST_F(MemorySimTest, FineGrainedModelLargerThanNodeThrows) {
+  int64_t largest = 0;
+  for (const Model& model : models_) {
+    largest = std::max(largest, ContainerFootprintBytes(model));
+  }
+  SimConfig config = config_;
+  config.fine_grained_containers = true;
+  config.node_memory_bytes = largest - 1;  // Every model but the largest fits.
+  const Trace trace = RoundRobinTrace(1, 10.0);
+  EXPECT_THROW(RunSimulation(models_, trace, config, costs_), std::invalid_argument);
+  config.node_memory_bytes = largest;
+  EXPECT_NO_THROW(RunSimulation(models_, trace, config, costs_));
+}
+
+TEST_F(MemorySimTest, UnusedModelLargerThanNodeDoesNotThrow) {
+  // Only models some function serves must fit: a registered model the trace
+  // never invokes gets no container.
+  const auto largest = std::max_element(
+      models_.begin(), models_.end(), [](const Model& a, const Model& b) {
+        return ContainerFootprintBytes(a) < ContainerFootprintBytes(b);
+      });
+  SimConfig config = config_;
+  config.fine_grained_containers = true;
+  config.node_memory_bytes = ContainerFootprintBytes(*largest) - 1;
+  Trace trace;
+  for (const std::string& name : names_) {
+    if (name != largest->name()) {
+      trace.push_back({10.0 * static_cast<double>(trace.size()), name});
+    }
+  }
+  ASSERT_EQ(trace.size(), models_.size() - 1);
+  SimResult result;
+  ASSERT_NO_THROW(result = RunSimulation(models_, trace, config, costs_));
+  EXPECT_EQ(result.total_requests, trace.size());
 }
 
 TEST_F(MemorySimTest, PercentilesOrdered) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "src/sim/simulator.h"
 #include "src/workload/azure.h"
@@ -59,6 +61,23 @@ class SimInvariantsTest : public testing::TestWithParam<SimCase> {
     config.placement.kind = BalancerKind::kHash;
     return config;
   }
+
+  // Checks that each record carries its own request's function: one
+  // FunctionId per name in the trace, and distinct names get distinct ids.
+  // records[i] must be trace[i]'s record. Returns each id's name.
+  static std::map<FunctionId, std::string> CheckFunctionIds(
+      const Trace& trace, const std::vector<RequestRecord>& records) {
+    std::map<std::string, FunctionId> id_of;
+    std::map<FunctionId, std::string> name_of;
+    for (size_t i = 0; i < trace.size(); ++i) {
+      const std::string& name = trace[i].function;
+      const FunctionId id = records[i].function;
+      EXPECT_NE(id, kInvalidFunction) << "request " << i;
+      EXPECT_EQ(id_of.emplace(name, id).first->second, id) << "request " << i;
+      EXPECT_EQ(name_of.emplace(id, name).first->second, name) << "request " << i;
+    }
+    return name_of;
+  }
 };
 
 TEST_P(SimInvariantsTest, ConservationAndCausality) {
@@ -67,14 +86,17 @@ TEST_P(SimInvariantsTest, ConservationAndCausality) {
   const Trace trace = WorkloadFor(azure, models);
   ASSERT_GT(trace.size(), 50u);
   AnalyticCostModel costs;
-  const SimResult result = RunSimulation(models, trace, ConfigFor(system), costs);
+  std::vector<RequestRecord> records;
+  const SimResult result =
+      RunSimulation(models, trace, ConfigFor(system), costs, RecordByOrdinal(&records));
 
-  // Every request is recorded exactly once with its own function and arrival.
-  ASSERT_EQ(result.records.size(), trace.size());
+  // Every request is served exactly once, with its own function and arrival.
+  ASSERT_EQ(result.total_requests, trace.size());
+  ASSERT_EQ(records.size(), trace.size());
+  CheckFunctionIds(trace, records);
   const SystemProfile profile;
   for (size_t i = 0; i < trace.size(); ++i) {
-    const RequestRecord& record = result.records[i];
-    EXPECT_EQ(record.function, trace[i].function);
+    const RequestRecord& record = records[i];
     EXPECT_DOUBLE_EQ(record.arrival, trace[i].arrival);
     // Causality: no negative phases.
     EXPECT_GE(record.wait, 0.0);
@@ -106,9 +128,13 @@ TEST_P(SimInvariantsTest, LoadNeverExceedsScratchPlusTransfer) {
     scratch[model.name()] = costs.ScratchLoadCost(model);
   }
   const Trace trace = WorkloadFor(azure, models);
-  const SimResult result = RunSimulation(models, trace, ConfigFor(system), costs);
-  for (const RequestRecord& record : result.records) {
-    EXPECT_LE(record.load, scratch.at(record.function) + 1e-9) << record.function;
+  std::vector<RequestRecord> records;
+  RunSimulation(models, trace, ConfigFor(system), costs, RecordByOrdinal(&records));
+  ASSERT_EQ(records.size(), trace.size());
+  const std::map<FunctionId, std::string> name_of = CheckFunctionIds(trace, records);
+  for (const RequestRecord& record : records) {
+    const std::string& function = name_of.at(record.function);
+    EXPECT_LE(record.load, scratch.at(function) + 1e-9) << function;
   }
 }
 
@@ -117,12 +143,15 @@ TEST_P(SimInvariantsTest, DeterministicReplay) {
   const auto models = Models();
   const Trace trace = WorkloadFor(azure, models);
   AnalyticCostModel costs;
-  const SimResult a = RunSimulation(models, trace, ConfigFor(system), costs);
-  const SimResult b = RunSimulation(models, trace, ConfigFor(system), costs);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.records[i].ServiceTime(), b.records[i].ServiceTime());
-    EXPECT_EQ(a.records[i].start, b.records[i].start);
+  std::vector<RequestRecord> a;
+  std::vector<RequestRecord> b;
+  RunSimulation(models, trace, ConfigFor(system), costs, RecordByOrdinal(&a));
+  RunSimulation(models, trace, ConfigFor(system), costs, RecordByOrdinal(&b));
+  ASSERT_EQ(a.size(), trace.size());
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a[i].ServiceTime(), b[i].ServiceTime());
+    EXPECT_EQ(a[i].start, b[i].start);
   }
 }
 

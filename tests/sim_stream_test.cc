@@ -1,10 +1,12 @@
-// Streaming discrete-event core (DESIGN.md §18): record-mode vs streaming
-// equivalence, warming/churn counter parity across modes, histogram accuracy,
-// and bit-for-bit determinism of streaming summaries at scale.
+// Streaming discrete-event core (DESIGN.md §18): the request observer sees
+// exactly what the counters fold and perturbs nothing (warming and churn
+// included), histogram accuracy, and bit-for-bit determinism of streaming
+// summaries at scale.
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -12,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/sim/sim_stats.h"
 #include "src/sim/simulator.h"
 #include "src/workload/function_table.h"
@@ -55,142 +58,141 @@ class SimStreamTest : public testing::Test {
   AnalyticCostModel costs_;
 };
 
-// The streaming accumulators inside a records-on run must agree exactly with
-// what the records themselves say — same requests folded, same start types.
+// Every request the counters fold is shown to the observer exactly once, and
+// the records it sees add up to the counters bit for bit (both fold in serve
+// order).
 TEST_F(SimStreamTest, StreamingCountersMatchRecords) {
   const Trace trace = MixedTrace(4000.0);
   ASSERT_GT(trace.size(), 100u);
   for (const SystemType system : {SystemType::kOpenWhisk, SystemType::kPagurus,
                                   SystemType::kTetris, SystemType::kOptimus}) {
-    const SimResult result = RunSimulation(models_, trace, BaseConfig(system), costs_);
-    ASSERT_EQ(result.records.size(), trace.size());
-    // Every request was served (queues drain on completions), so the
-    // streaming side saw exactly one Commit per record.
-    ASSERT_EQ(result.total_requests, trace.size());
-    std::array<uint64_t, 3> expected{};
+    std::vector<int> seen(trace.size(), 0);
+    std::array<uint64_t, 3> counts{};
+    uint64_t observed = 0;
     double sum_wait = 0.0, sum_init = 0.0, sum_load = 0.0, sum_compute = 0.0;
-    for (const RequestRecord& record : result.records) {
-      ++expected[static_cast<size_t>(record.start)];
-      sum_wait += record.wait;
-      sum_init += record.init;
-      sum_load += record.load;
-      sum_compute += record.compute;
-    }
-    EXPECT_EQ(result.start_counts, expected);
-    // Streaming sums fold in serve order, records in trace order: equal up
-    // to floating-point reassociation.
-    EXPECT_NEAR(result.sum_wait, sum_wait, 1e-9 * (1.0 + sum_wait));
-    EXPECT_NEAR(result.sum_init, sum_init, 1e-9 * (1.0 + sum_init));
-    EXPECT_NEAR(result.sum_load, sum_load, 1e-9 * (1.0 + sum_load));
-    EXPECT_NEAR(result.sum_compute, sum_compute, 1e-9 * (1.0 + sum_compute));
+    const SimResult result = RunSimulation(
+        models_, trace, BaseConfig(system), costs_, [&](const RequestRecord& record) {
+          ++observed;
+          ++seen.at(record.ordinal);
+          ++counts[static_cast<size_t>(record.start)];
+          sum_wait += record.wait;
+          sum_init += record.init;
+          sum_load += record.load;
+          sum_compute += record.compute;
+        });
+    // Queues drain on completions, so every request is served.
+    ASSERT_EQ(result.total_requests, trace.size());
+    EXPECT_EQ(observed, result.total_requests);
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), static_cast<ptrdiff_t>(trace.size()));
+    EXPECT_EQ(result.start_counts, counts);
+    EXPECT_EQ(result.sum_wait, sum_wait);
+    EXPECT_EQ(result.sum_init, sum_init);
+    EXPECT_EQ(result.sum_load, sum_load);
+    EXPECT_EQ(result.sum_compute, sum_compute);
     EXPECT_EQ(result.service_hist.count(), trace.size());
-    EXPECT_EQ(result.service_sample.seen(), trace.size());
   }
 }
 
-// Turning records off must not change the simulation — only the accounting
-// representation. All integer counters are bit-identical across modes.
-TEST_F(SimStreamTest, RecordModeOffMatchesOnBitForBit) {
+// Runs `config` over `trace` with and without an observer and expects every
+// SimResult field to match bit for bit; returns the unobserved result.
+SimResult ExpectObserverChangesNothing(const std::vector<Model>& models, const Trace& trace,
+                                       const SimConfig& config, const CostModel& costs) {
+  uint64_t observed = 0;
+  const SimResult plain = RunSimulation(models, trace, config, costs);
+  const SimResult watched =
+      RunSimulation(models, trace, config, costs, [&](const RequestRecord&) { ++observed; });
+  EXPECT_EQ(observed, plain.total_requests);
+  EXPECT_EQ(watched.total_requests, plain.total_requests);
+  EXPECT_EQ(watched.start_counts, plain.start_counts);
+  EXPECT_EQ(watched.sum_wait, plain.sum_wait);
+  EXPECT_EQ(watched.sum_init, plain.sum_init);
+  EXPECT_EQ(watched.sum_load, plain.sum_load);
+  EXPECT_EQ(watched.sum_compute, plain.sum_compute);
+  EXPECT_EQ(watched.service_hist.buckets(), plain.service_hist.buckets());
+  EXPECT_EQ(watched.service_hist.sum(), plain.service_hist.sum());
+  EXPECT_EQ(watched.service_hist.min(), plain.service_hist.min());
+  EXPECT_EQ(watched.service_hist.max(), plain.service_hist.max());
+  EXPECT_EQ(watched.revocations, plain.revocations);
+  EXPECT_EQ(watched.revives, plain.revives);
+  EXPECT_EQ(watched.reclaimed_containers, plain.reclaimed_containers);
+  EXPECT_EQ(watched.rehomed_requests, plain.rehomed_requests);
+  EXPECT_EQ(watched.churn_rebalances, plain.churn_rebalances);
+  EXPECT_EQ(watched.warming_cycles, plain.warming_cycles);
+  EXPECT_EQ(watched.warming_orders, plain.warming_orders);
+  EXPECT_EQ(watched.warming_prewarms_cold, plain.warming_prewarms_cold);
+  EXPECT_EQ(watched.warming_prewarms_transform, plain.warming_prewarms_transform);
+  EXPECT_EQ(watched.warming_hits, plain.warming_hits);
+  EXPECT_EQ(watched.warming_waste, plain.warming_waste);
+  EXPECT_EQ(watched.warming_skipped, plain.warming_skipped);
+  EXPECT_EQ(watched.warming_unused, plain.warming_unused);
+  EXPECT_EQ(watched.warming_lead_seconds, plain.warming_lead_seconds);
+  return plain;
+}
+
+// Attaching an observer must not change the simulation or its accounting.
+TEST_F(SimStreamTest, ObserverDoesNotPerturbRun) {
   const Trace trace = MixedTrace(4000.0);
   for (const SystemType system : {SystemType::kOpenWhisk, SystemType::kOptimus}) {
-    SimConfig on = BaseConfig(system);
-    on.records = RecordMode::kOn;
-    SimConfig off = BaseConfig(system);
-    off.records = RecordMode::kOff;
-    const SimResult with_records = RunSimulation(models_, trace, on, costs_);
-    const SimResult streaming = RunSimulation(models_, trace, off, costs_);
-    EXPECT_FALSE(with_records.records.empty());
-    EXPECT_TRUE(streaming.records.empty());
-    EXPECT_EQ(streaming.total_requests, with_records.total_requests);
-    EXPECT_EQ(streaming.start_counts, with_records.start_counts);
-    EXPECT_EQ(streaming.sum_wait, with_records.sum_wait);
-    EXPECT_EQ(streaming.sum_compute, with_records.sum_compute);
-    EXPECT_EQ(streaming.service_hist.buckets(), with_records.service_hist.buckets());
-    EXPECT_EQ(streaming.service_hist.sum(), with_records.service_hist.sum());
-    EXPECT_EQ(streaming.service_sample.samples(), with_records.service_sample.samples());
+    const SimResult result =
+        ExpectObserverChangesNothing(models_, trace, BaseConfig(system), costs_);
+    EXPECT_EQ(result.total_requests, trace.size());
   }
 }
 
 // Histogram percentiles sit within one geometric bucket (~5% relative) of the
-// exact record-based order statistic.
+// exact order statistic of the observed service times.
 TEST_F(SimStreamTest, HistogramPercentilesWithinBucketTolerance) {
   const Trace trace = MixedTrace(4000.0);
-  SimConfig config = BaseConfig(SystemType::kOptimus);
-  const SimResult result = RunSimulation(models_, trace, config, costs_);
-  ASSERT_FALSE(result.records.empty());
-  SimResult streaming_view = result;
-  streaming_view.records.clear();  // Force accessors onto the histogram path.
+  std::vector<double> service;
+  const SimResult result =
+      RunSimulation(models_, trace, BaseConfig(SystemType::kOptimus), costs_,
+                    [&](const RequestRecord& record) { service.push_back(record.ServiceTime()); });
+  ASSERT_EQ(service.size(), trace.size());
+  std::sort(service.begin(), service.end());
   for (const double q : {0.5, 0.9, 0.95, 0.99}) {
-    const double exact = result.ServiceTimePercentile(q);
-    const double bucketed = streaming_view.ServiceTimePercentile(q);
+    const size_t rank = std::min(service.size() - 1,
+                                 static_cast<size_t>(q * static_cast<double>(service.size())));
+    const double exact = service[rank];
     ASSERT_GT(exact, 0.0);
     // One 5% bucket of relative error, plus slack for the rank falling on a
     // bucket edge.
-    EXPECT_NEAR(bucketed, exact, 0.06 * exact) << "q=" << q;
+    EXPECT_NEAR(result.ServiceTimePercentile(q), exact, 0.06 * exact) << "q=" << q;
   }
-  // Aggregate accessors agree across representations.
-  EXPECT_NEAR(streaming_view.AvgServiceTime(), result.AvgServiceTime(),
-              1e-9 * (1.0 + result.AvgServiceTime()));
-  EXPECT_NEAR(streaming_view.AvgWait(), result.AvgWait(), 1e-9 * (1.0 + result.AvgWait()));
-  EXPECT_EQ(streaming_view.CountOf(StartType::kCold), result.CountOf(StartType::kCold));
-  EXPECT_EQ(streaming_view.CountOf(StartType::kWarm), result.CountOf(StartType::kWarm));
+  EXPECT_DOUBLE_EQ(result.service_hist.min(), service.front());
+  EXPECT_DOUBLE_EQ(result.service_hist.max(), service.back());
 }
 
-// Warming accounting must reconcile in both record modes, and the speculative
-// counters must be identical across them:
+// Warming accounting must reconcile with and without an observer, and the
+// speculative counters must be identical across both:
 //   prewarms_cold + prewarms_transform == hits + waste + unused.
 TEST_F(SimStreamTest, WarmingReconciliationAcrossModes) {
-  const Trace trace = MixedTrace(4000.0);
-  std::vector<SimResult> results;
-  for (const RecordMode mode : {RecordMode::kOn, RecordMode::kOff}) {
-    SimConfig config = BaseConfig(SystemType::kOptimus);
-    config.records = mode;
-    config.warming.enabled = true;
-    config.warming.interval = 120.0;
-    results.push_back(RunSimulation(models_, trace, config, costs_));
-    const SimResult& result = results.back();
-    EXPECT_GT(result.warming_cycles, 0u);
-    EXPECT_EQ(result.WarmingPrewarms(),
-              result.warming_hits + result.warming_waste + result.warming_unused);
-    EXPECT_EQ(result.warming_lead_seconds.size(), result.warming_hits);
-  }
-  EXPECT_EQ(results[0].warming_cycles, results[1].warming_cycles);
-  EXPECT_EQ(results[0].warming_orders, results[1].warming_orders);
-  EXPECT_EQ(results[0].warming_prewarms_cold, results[1].warming_prewarms_cold);
-  EXPECT_EQ(results[0].warming_prewarms_transform, results[1].warming_prewarms_transform);
-  EXPECT_EQ(results[0].warming_hits, results[1].warming_hits);
-  EXPECT_EQ(results[0].warming_waste, results[1].warming_waste);
-  EXPECT_EQ(results[0].warming_skipped, results[1].warming_skipped);
-  EXPECT_EQ(results[0].warming_unused, results[1].warming_unused);
-  EXPECT_EQ(results[0].warming_lead_seconds, results[1].warming_lead_seconds);
+  SimConfig config = BaseConfig(SystemType::kOptimus);
+  config.warming.enabled = true;
+  config.warming.interval = 120.0;
+  const SimResult result =
+      ExpectObserverChangesNothing(models_, MixedTrace(4000.0), config, costs_);
+  EXPECT_GT(result.warming_cycles, 0u);
+  EXPECT_EQ(result.WarmingPrewarms(),
+            result.warming_hits + result.warming_waste + result.warming_unused);
+  EXPECT_EQ(result.warming_lead_seconds.size(), result.warming_hits);
 }
 
-// Node churn produces the same lifecycle accounting whether or not records
-// are kept.
+// Node churn produces the same lifecycle accounting with and without an
+// observer.
 TEST_F(SimStreamTest, ChurnCountersAcrossModes) {
+  SimConfig config = BaseConfig(SystemType::kOptimus);
+  config.churn.push_back({1000.0, 0, /*revive=*/false, /*grace=*/30.0});
+  config.churn.push_back({2500.0, 0, /*revive=*/true, 0.0});
   const Trace trace = MixedTrace(4000.0);
-  std::vector<SimResult> results;
-  for (const RecordMode mode : {RecordMode::kOn, RecordMode::kOff}) {
-    SimConfig config = BaseConfig(SystemType::kOptimus);
-    config.records = mode;
-    config.churn.push_back({1000.0, 0, /*revive=*/false, /*grace=*/30.0});
-    config.churn.push_back({2500.0, 0, /*revive=*/true, 0.0});
-    results.push_back(RunSimulation(models_, trace, config, costs_));
-  }
-  EXPECT_EQ(results[0].revocations, 1u);
-  EXPECT_EQ(results[0].revives, 1u);
-  EXPECT_EQ(results[0].revocations, results[1].revocations);
-  EXPECT_EQ(results[0].revives, results[1].revives);
-  EXPECT_EQ(results[0].reclaimed_containers, results[1].reclaimed_containers);
-  EXPECT_EQ(results[0].rehomed_requests, results[1].rehomed_requests);
-  EXPECT_EQ(results[0].churn_rebalances, results[1].churn_rebalances);
-  EXPECT_EQ(results[0].total_requests, results[1].total_requests);
-  EXPECT_EQ(results[0].start_counts, results[1].start_counts);
+  const SimResult result = ExpectObserverChangesNothing(models_, trace, config, costs_);
+  EXPECT_EQ(result.revocations, 1u);
+  EXPECT_EQ(result.revives, 1u);
+  EXPECT_EQ(result.total_requests, trace.size());
 }
 
 // Two independent streaming runs of the same many-function workload (fresh
-// sources, fresh tables) produce bit-identical summaries: sums, counts,
-// histogram buckets, and reservoir contents.
+// sources, fresh tables) produce bit-identical summaries: sums, counts and
+// histogram buckets.
 TEST_F(SimStreamTest, StreamingDeterminismAtScale) {
   auto run_once = [this]() {
     FunctionTable functions;
@@ -212,7 +214,6 @@ TEST_F(SimStreamTest, StreamingDeterminismAtScale) {
   const SimResult a = run_once();
   const SimResult b = run_once();
   ASSERT_GT(a.total_requests, 5000u);  // ~2000 functions at the mixed rates.
-  EXPECT_TRUE(a.records.empty());     // kAuto resolves to kOff when streaming.
   EXPECT_EQ(a.total_requests, b.total_requests);
   EXPECT_EQ(a.start_counts, b.start_counts);
   EXPECT_EQ(a.sum_wait, b.sum_wait);
@@ -223,14 +224,12 @@ TEST_F(SimStreamTest, StreamingDeterminismAtScale) {
   EXPECT_EQ(a.service_hist.sum(), b.service_hist.sum());
   EXPECT_EQ(a.service_hist.min(), b.service_hist.min());
   EXPECT_EQ(a.service_hist.max(), b.service_hist.max());
-  EXPECT_EQ(a.service_sample.seen(), b.service_sample.seen());
-  EXPECT_EQ(a.service_sample.samples(), b.service_sample.samples());
   EXPECT_EQ(a.ServiceTimePercentile(0.95), b.ServiceTimePercentile(0.95));
 }
 
-// The streaming entry point honors an explicit records request — the
-// small-workload debugging path through a TraceSource.
-TEST_F(SimStreamTest, StreamingApiWithRecordsOn) {
+// Through the streaming entry point, each observed record names the function
+// and arrival of the source's request at its ordinal.
+TEST_F(SimStreamTest, StreamingApiObserverMatchesTrace) {
   FunctionTable functions;
   const Trace trace = MixedTrace(2000.0);
   TraceVectorSource source(trace, &functions);
@@ -244,14 +243,14 @@ TEST_F(SimStreamTest, StreamingApiWithRecordsOn) {
   for (size_t fn = 0; fn < functions.size(); ++fn) {
     workload.function_model.push_back(static_cast<int32_t>(fn));
   }
-  SimConfig config = BaseConfig(SystemType::kOptimus);
-  config.records = RecordMode::kOn;
-  const SimResult result = RunSimulationStream(workload, &source, config, costs_);
-  ASSERT_EQ(result.records.size(), trace.size());
-  EXPECT_EQ(result.total_requests, trace.size());
+  std::vector<RequestRecord> records;
+  const SimResult result = RunSimulationStream(workload, &source, BaseConfig(SystemType::kOptimus),
+                                               costs_, RecordByOrdinal(&records));
+  ASSERT_EQ(result.total_requests, trace.size());
+  ASSERT_EQ(records.size(), trace.size());
   for (size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(result.records[i].function, trace[i].function);
-    EXPECT_DOUBLE_EQ(result.records[i].arrival, trace[i].arrival);
+    EXPECT_EQ(records[i].function, functions.Find(trace[i].function));
+    EXPECT_DOUBLE_EQ(records[i].arrival, trace[i].arrival);
   }
 }
 
@@ -294,19 +293,6 @@ TEST(LatencyHistogramTest, ExtremesClampIntoRange) {
   EXPECT_EQ(hist.count(), 2u);
   EXPECT_GE(hist.Percentile(0.0), 0.0);
   EXPECT_LE(hist.Percentile(1.0), 1e300);
-}
-
-TEST(ReservoirSampleTest, DeterministicAndBounded) {
-  ReservoirSample a(/*capacity=*/64, /*seed=*/5);
-  ReservoirSample b(/*capacity=*/64, /*seed=*/5);
-  for (int i = 0; i < 10000; ++i) {
-    const double v = static_cast<double>(i % 997);
-    a.Add(v);
-    b.Add(v);
-  }
-  EXPECT_EQ(a.seen(), 10000u);
-  EXPECT_EQ(a.samples().size(), 64u);
-  EXPECT_EQ(a.samples(), b.samples());
 }
 
 }  // namespace

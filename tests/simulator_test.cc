@@ -50,10 +50,13 @@ TEST_F(SimulatorTest, EveryRequestServedExactlyOnce) {
                                   SystemType::kTetris, SystemType::kOptimus}) {
     SimConfig config = config_;
     config.system = system;
-    const SimResult result = RunSimulation(models_, trace, config, costs_);
-    ASSERT_EQ(result.records.size(), trace.size());
-    for (const RequestRecord& record : result.records) {
-      EXPECT_FALSE(record.function.empty());
+    std::vector<RequestRecord> records;
+    const SimResult result =
+        RunSimulation(models_, trace, config, costs_, RecordByOrdinal(&records));
+    ASSERT_EQ(result.total_requests, trace.size());
+    ASSERT_EQ(records.size(), trace.size());
+    for (const RequestRecord& record : records) {
+      EXPECT_NE(record.function, kInvalidFunction);
       EXPECT_GE(record.wait, 0.0);
       EXPECT_GE(record.init, 0.0);
       EXPECT_GE(record.load, 0.0);
@@ -69,19 +72,23 @@ TEST_F(SimulatorTest, FirstRequestIsColdLaterOnesWarm) {
   // Two quick requests to the same function: cold then warm.
   const Trace trace = {{0.0, names_[0]}, {30.0, names_[0]}};
   config_.system = SystemType::kOpenWhisk;
-  const SimResult result = RunSimulation(models_, trace, config_, costs_);
-  EXPECT_EQ(result.records[0].start, StartType::kCold);
-  EXPECT_EQ(result.records[1].start, StartType::kWarm);
-  EXPECT_EQ(result.records[1].init, 0.0);
-  EXPECT_EQ(result.records[1].load, 0.0);
+  std::vector<RequestRecord> records;
+  RunSimulation(models_, trace, config_, costs_, RecordByOrdinal(&records));
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].start, StartType::kCold);
+  EXPECT_EQ(records[1].start, StartType::kWarm);
+  EXPECT_EQ(records[1].init, 0.0);
+  EXPECT_EQ(records[1].load, 0.0);
 }
 
 TEST_F(SimulatorTest, KeepAliveExpiryForcesColdStart) {
   // Second request arrives after the 10-minute keep-alive: cold again.
   const Trace trace = {{0.0, names_[0]}, {700.0, names_[0]}};
   config_.system = SystemType::kOpenWhisk;
-  const SimResult result = RunSimulation(models_, trace, config_, costs_);
-  EXPECT_EQ(result.records[1].start, StartType::kCold);
+  std::vector<RequestRecord> records;
+  RunSimulation(models_, trace, config_, costs_, RecordByOrdinal(&records));
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].start, StartType::kCold);
 }
 
 TEST_F(SimulatorTest, OptimusTransformsWhereOpenWhiskColdStarts) {
@@ -123,21 +130,26 @@ TEST_F(SimulatorTest, SaturatedNodeQueuesRequests) {
   config.containers_per_node = 1;
   // Arrivals spaced below the per-request compute time, so the backlog grows.
   const Trace trace = {{0.0, names_[0]}, {0.005, names_[0]}, {0.010, names_[0]}};
-  const SimResult result = RunSimulation(models_, trace, config, costs_);
-  EXPECT_EQ(result.records[0].wait, 0.0);
-  EXPECT_GT(result.records[1].wait, 0.0);
-  EXPECT_GT(result.records[2].wait, result.records[1].wait);
+  std::vector<RequestRecord> records;
+  RunSimulation(models_, trace, config, costs_, RecordByOrdinal(&records));
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].wait, 0.0);
+  EXPECT_GT(records[1].wait, 0.0);
+  EXPECT_GT(records[2].wait, records[1].wait);
 }
 
 TEST_F(SimulatorTest, DeterministicAcrossRuns) {
   const Trace trace = SparseTrace();
   config_.system = SystemType::kOptimus;
-  const SimResult a = RunSimulation(models_, trace, config_, costs_);
-  const SimResult b = RunSimulation(models_, trace, config_, costs_);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].ServiceTime(), b.records[i].ServiceTime());
-    EXPECT_EQ(a.records[i].start, b.records[i].start);
+  std::vector<RequestRecord> a;
+  std::vector<RequestRecord> b;
+  RunSimulation(models_, trace, config_, costs_, RecordByOrdinal(&a));
+  RunSimulation(models_, trace, config_, costs_, RecordByOrdinal(&b));
+  ASSERT_EQ(a.size(), trace.size());
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].ServiceTime(), b[i].ServiceTime());
+    EXPECT_EQ(a[i].start, b[i].start);
   }
 }
 
@@ -172,8 +184,17 @@ TEST_F(SimulatorTest, GreedyDualEvictionKeepsExpensiveModels) {
   greedy.eviction = EvictionPolicy::kGreedyDual;
   const SimResult lru_result = RunSimulation(models_, trace, config, costs_);
   const SimResult gd_result = RunSimulation(models_, trace, greedy, costs_);
-  EXPECT_EQ(lru_result.records.size(), gd_result.records.size());
+  EXPECT_EQ(lru_result.total_requests, trace.size());
+  EXPECT_EQ(gd_result.total_requests, trace.size());
   EXPECT_LE(gd_result.AvgServiceTime(), lru_result.AvgServiceTime() + 1e-9);
+}
+
+TEST_F(SimulatorTest, ZeroContainersPerNodeThrows) {
+  // A node with no container slots can never serve; the run must refuse
+  // rather than leave every request queued.
+  config_.containers_per_node = 0;
+  const Trace trace = {{0.0, names_[0]}, {1.0, names_[1]}};
+  EXPECT_THROW(RunSimulation(models_, trace, config_, costs_), std::invalid_argument);
 }
 
 TEST_F(SimulatorTest, UnknownFunctionThrows) {
@@ -188,18 +209,21 @@ TEST_F(SimulatorTest, MultiNodePlacementRoutesAllRequests) {
   config.placement.kind = BalancerKind::kModelSharing;
   const Trace trace = SparseTrace();
   const SimResult result = RunSimulation(models_, trace, config, costs_);
-  EXPECT_EQ(result.records.size(), trace.size());
+  EXPECT_EQ(result.total_requests, trace.size());
 }
 
 TEST_F(SimulatorTest, AveragesConsistentWithRecords) {
   const Trace trace = SparseTrace();
   config_.system = SystemType::kPagurus;
-  const SimResult result = RunSimulation(models_, trace, config_, costs_);
   double total = 0.0;
-  for (const RequestRecord& record : result.records) {
-    total += record.ServiceTime();
-  }
-  EXPECT_NEAR(result.AvgServiceTime(), total / static_cast<double>(result.records.size()), 1e-9);
+  size_t observed = 0;
+  const SimResult result =
+      RunSimulation(models_, trace, config_, costs_, [&](const RequestRecord& record) {
+        total += record.ServiceTime();
+        ++observed;
+      });
+  ASSERT_EQ(observed, trace.size());
+  EXPECT_NEAR(result.AvgServiceTime(), total / static_cast<double>(observed), 1e-9);
   EXPECT_NEAR(result.AvgServiceTime(),
               result.AvgWait() + result.AvgInit() + result.AvgLoad() + result.AvgCompute(), 1e-9);
 }

@@ -1,11 +1,13 @@
 // Shared helpers for the test suite: scaled-down zoo models (fast to
-// materialize) and small hand-built graphs.
+// materialize), small hand-built graphs, and a simulator request observer.
 
 #ifndef OPTIMUS_TESTS_TEST_UTIL_H_
 #define OPTIMUS_TESTS_TEST_UTIL_H_
 
 #include <string>
+#include <vector>
 
+#include "src/sim/simulator.h"
 #include "src/zoo/bert.h"
 #include "src/zoo/chain_builder.h"
 #include "src/zoo/mobilenet.h"
@@ -58,6 +60,18 @@ inline Model SmallChain(const std::string& name, int64_t kernel, int64_t channel
   chain.Append(OpKind::kActivation, ReluAttrs());
   chain.Append(OpKind::kOutput);
   return model;
+}
+
+// A simulator RequestObserver that files each served request's record at its
+// arrival ordinal (the trace position under RunSimulation), growing `records`
+// as needed. A slot whose request was never served keeps kInvalidFunction.
+inline RequestObserver RecordByOrdinal(std::vector<RequestRecord>* records) {
+  return [records](const RequestRecord& record) {
+    if (record.ordinal >= records->size()) {
+      records->resize(record.ordinal + 1);
+    }
+    (*records)[record.ordinal] = record;
+  };
 }
 
 }  // namespace optimus

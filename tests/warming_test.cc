@@ -541,7 +541,8 @@ TEST_F(WarmingSimTest, WarmingReducesColdStartsUnderBurstyTrace) {
   EXPECT_GT(warmed.warming_cycles, 0u);
   EXPECT_GT(warmed.warming_hits, 0u);
   // Every request still served exactly once in both runs.
-  EXPECT_EQ(warmed.records.size(), trace.size());
+  EXPECT_EQ(reactive.total_requests, trace.size());
+  EXPECT_EQ(warmed.total_requests, trace.size());
   const size_t cold_reactive =
       reactive.CountOf(StartType::kCold) + reactive.CountOf(StartType::kTransform);
   const size_t cold_warmed =
