@@ -26,13 +26,18 @@ Container* ContainerPool::Find(ContainerId id) {
   return nullptr;
 }
 
-void ContainerPool::ReapExpired(double now) {
+size_t ContainerPool::ReapExpired(double now) {
+  size_t prewarmed_waste = 0;
   containers_.erase(std::remove_if(containers_.begin(), containers_.end(),
                                    [&](const Container& container) {
-                                     return container.state == ContainerState::kIdle &&
-                                            now - container.last_active >= keep_alive_;
+                                     const bool expired =
+                                         container.state == ContainerState::kIdle &&
+                                         now - container.last_active >= keep_alive_;
+                                     prewarmed_waste += expired && container.prewarmed ? 1 : 0;
+                                     return expired;
                                    }),
                     containers_.end());
+  return prewarmed_waste;
 }
 
 Container* ContainerPool::FindWarm(const std::string& function) {

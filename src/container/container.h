@@ -49,6 +49,12 @@ struct Container {
   // complementary first-class work): clock value + reload cost at last use.
   // Only meaningful under EvictionPolicy::kGreedyDual.
   double priority = 0.0;
+  // Set when a warming order prepared the container speculatively and no
+  // request has hit it yet (DESIGN.md §17) — the simulator's copy of
+  // RealContainer::prewarmed. The first warm hit clears it; removal or
+  // repurposing while it is still set is speculative waste.
+  bool prewarmed = false;
+  double prewarmed_at = 0.0;  // Virtual time the warming order ran.
 
   bool IdleSince(double now, double threshold) const {
     return state == ContainerState::kIdle && now - last_active >= threshold;
@@ -82,8 +88,10 @@ class ContainerPool {
 
   Container* Find(ContainerId id);
 
-  // Removes containers idle past the keep-alive window.
-  void ReapExpired(double now);
+  // Removes containers idle past the keep-alive window. Returns how many of
+  // them were pre-warmed and never hit — the caller charges those to
+  // speculative waste.
+  size_t ReapExpired(double now);
 
   // A warm idle container already serving `function`, or nullptr.
   Container* FindWarm(const std::string& function);

@@ -48,6 +48,23 @@ enum class NodeLifecycle : uint8_t { kUp = 0, kDraining, kDown, kReviving };
 // /healthz, logs, and metric labels.
 const char* NodeLifecycleName(NodeLifecycle state);
 
+// Whether work may still run on a node in `state` at virtual time `now`: Up
+// and Reviving nodes always, a Draining node only before `drain_deadline`,
+// a Down node never (DESIGN.md §16 grace-window semantics). The live node
+// pool and the simulator both ask this.
+inline bool NodeServable(NodeLifecycle state, double drain_deadline, double now) {
+  switch (state) {
+    case NodeLifecycle::kUp:
+    case NodeLifecycle::kReviving:
+      return true;
+    case NodeLifecycle::kDraining:
+      return now < drain_deadline;
+    case NodeLifecycle::kDown:
+      return false;
+  }
+  return false;
+}
+
 // A live container: a real ModelInstance pinned to a function.
 struct RealContainer {
   ContainerId id = -1;
@@ -136,20 +153,10 @@ class NodePool {
     NodeLifecycle lifecycle() const {
       return node_->lifecycle.load(std::memory_order_acquire);
     }
-    // Whether work may still run on this node at virtual time `now`: Up and
-    // Reviving nodes always, a Draining node only inside its grace window,
-    // a Down node never (DESIGN.md §16 grace-window semantics).
+    // Whether work may still run on this node at virtual time `now`
+    // (NodeServable).
     bool Servable(double now) const {
-      switch (lifecycle()) {
-        case NodeLifecycle::kUp:
-        case NodeLifecycle::kReviving:
-          return true;
-        case NodeLifecycle::kDraining:
-          return now < node_->drain_deadline.load(std::memory_order_acquire);
-        case NodeLifecycle::kDown:
-          return false;
-      }
-      return false;
+      return NodeServable(lifecycle(), node_->drain_deadline.load(std::memory_order_acquire), now);
     }
     // Any container idle for at least `idle_threshold` (a transform donor
     // candidate) — the predicate behind the capacity-pressure fallback.

@@ -44,7 +44,9 @@ PlacementManager::PlacementManager(const PlacementManagerOptions& options, const
   }
 }
 
-void PlacementManager::PublishLocked(std::shared_ptr<const PlacementTable> next) {
+void PlacementManager::PublishLocked(const Placement& assignment) {
+  auto next = std::make_shared<const PlacementTable>(store_.Version() + 1, options_.policy.kind,
+                                                     options_.num_nodes, assignment, live_mask_);
   if (version_gauge_ != nullptr) {
     version_gauge_->Set(static_cast<double>(next->version()));
     const std::vector<size_t> counts = next->NodeFunctionCounts();
@@ -61,15 +63,9 @@ void PlacementManager::AddFunction(const Model& model, const std::vector<const M
   if (current->NodeOf(model.name()) >= 0) {
     return;  // Already placed; deploys never move existing functions.
   }
-  const int node = policy_->PlaceOne(model, peers, *current);
-  Placement assignment;
-  for (const auto& [function, existing_node] : current->assignment()) {
-    assignment.emplace(function, existing_node);
-  }
-  assignment[model.name()] = node;
-  PublishLocked(std::make_shared<const PlacementTable>(current->version() + 1,
-                                                       options_.policy.kind, options_.num_nodes,
-                                                       assignment, live_mask_));
+  Placement assignment(current->assignment().begin(), current->assignment().end());
+  assignment[model.name()] = policy_->PlaceOne(model, peers, *current);
+  PublishLocked(assignment);
   BumpReasonCounter("deploy");
 }
 
@@ -86,13 +82,7 @@ bool PlacementManager::SetNodeLive(int node, bool live) {
   }
   live_mask_[static_cast<size_t>(node)] = live ? 1 : 0;
   const std::shared_ptr<const PlacementTable> current = store_.Snapshot();
-  Placement assignment;
-  for (const auto& [function, existing_node] : current->assignment()) {
-    assignment.emplace(function, existing_node);
-  }
-  PublishLocked(std::make_shared<const PlacementTable>(current->version() + 1,
-                                                       options_.policy.kind, options_.num_nodes,
-                                                       assignment, live_mask_));
+  PublishLocked(Placement(current->assignment().begin(), current->assignment().end()));
   BumpReasonCounter(live ? "node_up" : "node_down");
   return true;
 }
@@ -104,39 +94,40 @@ void PlacementManager::BumpReasonCounter(const std::string& reason) {
   }
 }
 
+Placement PlacementManager::SolveLiveLocked(
+    const std::vector<const Model*>& models,
+    const std::map<std::string, DemandSeries>& history) const {
+  // Re-home over the live subset (DESIGN.md §16): the solver sees a
+  // contiguous 0..live-1 cluster, and its indices are remapped back to
+  // physical node ids afterwards, so dead nodes receive no assignments.
+  // An all-dead mask (total outage) degenerates to the full set — the
+  // router's hash fallback covers routing until someone revives.
+  std::vector<int> live_ids;
+  for (size_t node = 0; node < live_mask_.size(); ++node) {
+    if (live_mask_[node] != 0) {
+      live_ids.push_back(static_cast<int>(node));
+    }
+  }
+  const int solve_nodes =
+      live_ids.empty() ? options_.num_nodes : static_cast<int>(live_ids.size());
+  Placement assignment = policy_->Compute(models, history, solve_nodes);
+  if (!live_ids.empty()) {
+    for (auto& [function, node] : assignment) {
+      node = live_ids[static_cast<size_t>(std::clamp(node, 0, solve_nodes - 1))];
+    }
+  }
+  return assignment;
+}
+
 bool PlacementManager::Rebalance(const std::vector<const Model*>& models,
                                  const std::map<std::string, DemandSeries>& history,
                                  const std::string& reason) {
   MutexLock lock(update_mutex_);
-  const std::shared_ptr<const PlacementTable> current = store_.Snapshot();
   try {
     // The injected failure models a solver crash mid-recompute: nothing may
     // have been published, so the previous table must keep serving.
     fault::MaybeInject("placement.rebalance");
-    // Re-home over the live subset (DESIGN.md §16): the solver sees a
-    // contiguous 0..live-1 cluster, and its indices are remapped back to
-    // physical node ids afterwards, so dead nodes receive no assignments.
-    // An all-dead mask (total outage) degenerates to the full set — the
-    // router's hash fallback covers routing until someone revives.
-    std::vector<int> live_ids;
-    if (!live_mask_.empty()) {
-      for (int node = 0; node < options_.num_nodes; ++node) {
-        if (live_mask_[static_cast<size_t>(node)] != 0) {
-          live_ids.push_back(node);
-        }
-      }
-    }
-    const int solve_nodes =
-        live_ids.empty() ? options_.num_nodes : static_cast<int>(live_ids.size());
-    Placement assignment = policy_->Compute(models, history, solve_nodes);
-    if (!live_ids.empty()) {
-      for (auto& [function, node] : assignment) {
-        node = live_ids[static_cast<size_t>(std::clamp(node, 0, solve_nodes - 1))];
-      }
-    }
-    PublishLocked(std::make_shared<const PlacementTable>(current->version() + 1,
-                                                         options_.policy.kind, options_.num_nodes,
-                                                         assignment, live_mask_));
+    PublishLocked(SolveLiveLocked(models, history));
   } catch (const std::exception&) {
     rebalance_failures_.fetch_add(1, std::memory_order_relaxed);
     if (rebalance_failures_counter_ != nullptr) {
@@ -156,25 +147,8 @@ PlacementDiff PlacementManager::PreviewRebalance(
   const std::shared_ptr<const PlacementTable> current = store_.Snapshot();
   PlacementDiff diff;
   diff.version = current->version();
-  // Same live-subset solve + remap as Rebalance — the preview must predict
-  // exactly what a real swap would publish.
-  std::vector<int> live_ids;
-  if (!live_mask_.empty()) {
-    for (int node = 0; node < options_.num_nodes; ++node) {
-      if (live_mask_[static_cast<size_t>(node)] != 0) {
-        live_ids.push_back(node);
-      }
-    }
-  }
-  const int solve_nodes =
-      live_ids.empty() ? options_.num_nodes : static_cast<int>(live_ids.size());
-  Placement assignment = policy_->Compute(models, history, solve_nodes);
-  if (!live_ids.empty()) {
-    for (auto& [function, node] : assignment) {
-      node = live_ids[static_cast<size_t>(std::clamp(node, 0, solve_nodes - 1))];
-    }
-  }
-  for (const auto& [function, node] : assignment) {
+  // The same solve Rebalance publishes, so the preview predicts the swap.
+  for (const auto& [function, node] : SolveLiveLocked(models, history)) {
     const int from = current->NodeOf(function);
     if (from == node) {
       ++diff.unchanged;

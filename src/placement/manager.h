@@ -1,11 +1,18 @@
 // PlacementManager — the runtime coordinator of the placement subsystem.
 //
 // Owns the PlacementStore, the configured PlacementPolicy, and the demand
-// accumulator, and wires the three rebalance triggers (DESIGN.md §13):
+// accumulator, and wires the rebalance triggers (DESIGN.md §13, §16):
 //   * deploy  — AddFunction() slots one new function incrementally;
 //   * demand  — RebalanceDue()/Rebalance() recompute the full placement from
 //               demand observed since the last harvest;
-//   * manual  — operator-initiated (gateway POST /rebalance, tests).
+//   * manual  — operator-initiated (gateway POST /rebalance, tests);
+//   * churn   — SetNodeLive() republishes under the new liveness mask, and
+//               Rebalance(..., "node_down"/"node_up") re-clusters over the
+//               live nodes.
+//
+// It is the one placement implementation: the live platform and the
+// simulator both drive it (the simulator in virtual time, with no metrics
+// registry), and it is the only caller of the placement policy's solver.
 //
 // Every swap publishes a new immutable table through the atomic store; a
 // failed recompute (including the injected `placement.rebalance` fault)
@@ -83,7 +90,7 @@ class PlacementManager {
   // Full recompute via the policy's solver. Returns true when a new table was
   // published; on failure the previous table keeps serving and the failure
   // counter advances. `reason` labels optimus_rebalance_total (one of
-  // "initial", "deploy", "demand", "manual").
+  // "initial", "deploy", "demand", "manual", "node_down", "node_up").
   bool Rebalance(const std::vector<const Model*>& models,
                  const std::map<std::string, DemandSeries>& history, const std::string& reason);
 
@@ -113,7 +120,13 @@ class PlacementManager {
   std::string StatsJson() const;
 
  private:
-  void PublishLocked(std::shared_ptr<const PlacementTable> next) REQUIRES(update_mutex_);
+  // Publishes `assignment` under the current live mask as the next version.
+  void PublishLocked(const Placement& assignment) REQUIRES(update_mutex_);
+  // The policy's full solve over the live subset, remapped to physical node
+  // ids — what Rebalance publishes and PreviewRebalance diffs.
+  Placement SolveLiveLocked(const std::vector<const Model*>& models,
+                            const std::map<std::string, DemandSeries>& history) const
+      REQUIRES(update_mutex_);
   void BumpReasonCounter(const std::string& reason);
 
   PlacementManagerOptions options_;

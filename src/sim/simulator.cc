@@ -9,11 +9,16 @@
 #include <utility>
 
 #include "src/common/clock.h"
-#include "src/core/node_pool.h"  // NodeLifecycle — the shared state machine.
+#include "src/core/node_pool.h"  // NodeLifecycle, NodeServable — the shared state machine.
+#include "src/placement/manager.h"
 
 namespace optimus {
 
 namespace {
+
+// Demand slots the warming forecaster sees (the live platform's
+// PlacementManagerOptions::demand_slots default is 32).
+constexpr size_t kDemandSlots = 64;
 
 enum class EventType : uint8_t {
   kArrival = 0,
@@ -88,7 +93,10 @@ class Simulation {
         config_(config),
         functions_(workload.functions),
         history_(workload.history),
-        observer_(observer) {
+        observer_(observer),
+        placement_(PlacementManagerOptions{config.placement, config.num_nodes,
+                                           /*rebalance_interval=*/0.0, kDemandSlots},
+                   &costs, /*metrics=*/nullptr) {
     const std::vector<Model>& models = *workload.models;
     if (config.containers_per_node < 1) {
       throw std::invalid_argument("RunSimulation: containers_per_node must be >= 1");
@@ -145,14 +153,10 @@ class Simulation {
     context.planner = config.planner;
     policy_ = MakeStartupPolicy(config.system, context);
 
-    // Route through the same PlacementPolicy implementations the live
-    // platform uses: compute the assignment once from the workload's demand
-    // history and freeze it into an immutable table. (Churn events republish
-    // the table exactly the way the live PlacementManager does.)
-    placement_policy_ = MakePlacementPolicy(config.placement, &costs);
-    table_ = std::make_shared<PlacementTable>(
-        /*version=*/1, config.placement.kind, config.num_nodes,
-        placement_policy_->Compute(model_ptrs_, history_, config.num_nodes));
+    // Route through the live platform's PlacementManager: one initial solve
+    // from the workload's demand history; churn events drive it the way
+    // OptimusPlatform::RevokeNode and ReviveNode do.
+    placement_.Rebalance(model_ptrs_, history_, "initial");
     RebuildNodeOf();
 
     nodes_.reserve(static_cast<size_t>(config.num_nodes));
@@ -164,7 +168,6 @@ class Simulation {
       // The same engine the live platform drives, on the same cadence —
       // which is what keeps live and simulated warming counters consistent.
       warming_engine_ = std::make_unique<WarmingEngine>(config.warming);
-      warming_demand_ = std::make_unique<DemandAccumulator>(/*max_slots=*/64);
       served_counts_.assign(num_functions, 0);
     }
   }
@@ -211,9 +214,10 @@ class Simulation {
           break;
       }
     }
-    if (warming_engine_ != nullptr) {
-      PurgePrewarmWaste();
-      result_.warming_unused = prewarmed_.size();
+    for (const NodeState& node : nodes_) {
+      for (const Container& container : node.pool.containers()) {
+        result_.warming_unused += container.prewarmed ? 1 : 0;
+      }
     }
     return std::move(result_);
   }
@@ -271,11 +275,16 @@ class Simulation {
     Dispatch(QueuedRequest{ordinal, now, fn}, now);
   }
 
-  // Routes the request to its node and serves it or queues it there.
+  // Routes the request to its node and serves it or queues it there. A node
+  // that cannot serve (only routed to in a total outage) fails the request,
+  // as the live platform answers kUnavailable.
   void Dispatch(const QueuedRequest& request, double now) {
-    const int node = node_of_[static_cast<size_t>(request.fn)];
-    if (!TryServe(node, request, now)) {
-      nodes_[static_cast<size_t>(node)].queue.push_back(request);
+    const int node_index = node_of_[static_cast<size_t>(request.fn)];
+    NodeState& node = nodes_[static_cast<size_t>(node_index)];
+    if (!NodeServable(node.lifecycle, node.drain_deadline, now)) {
+      ++result_.failed_requests;
+    } else if (!TryServe(node_index, request, now)) {
+      node.queue.push_back(request);
     }
   }
 
@@ -302,10 +311,6 @@ class Simulation {
       return;  // Already revoked.
     }
     ++result_.revocations;
-    if (live_mask_.empty()) {
-      live_mask_.assign(static_cast<size_t>(config_.num_nodes), 1);
-    }
-    live_mask_[static_cast<size_t>(node_index)] = 0;
     if (grace > 0.0) {
       node.lifecycle = NodeLifecycle::kDraining;
       node.drain_deadline = now + grace;
@@ -317,10 +322,10 @@ class Simulation {
     } else {
       ReclaimNode(&node);
     }
-    // Mirror the live manager: republish under the new mask and re-cluster
-    // over the survivors, then re-home the dead node's queued requests (they
-    // had not started — like new routes, they must leave immediately).
-    RecomputePlacement();
+    // Republish and re-cluster over the survivors, then re-home the dead
+    // node's queued requests (they had not started — like new routes, they
+    // must leave immediately).
+    SetNodeLive(node_index, false);
     RehomeQueue(&node, now);
   }
 
@@ -330,6 +335,9 @@ class Simulation {
       return;
     }
     ReclaimNode(&node);
+    // Only a total outage routes requests to a draining node; those still
+    // queued when its window closes leave like any other re-homed request.
+    RehomeQueue(&node, now);
   }
 
   void OnRevive(int node_index) {
@@ -346,25 +354,31 @@ class Simulation {
     node.lifecycle = NodeLifecycle::kUp;
     node.drain_deadline = std::numeric_limits<double>::infinity();
     ++result_.revives;
-    if (!live_mask_.empty()) {
-      live_mask_[static_cast<size_t>(node_index)] = 1;
+    SetNodeLive(node_index, true);
+  }
+
+  // Drives the placement manager as OptimusPlatform::RevokeNode and
+  // ReviveNode do: republish under the new mask first, then re-cluster over
+  // the live nodes. Churn re-solves read the workload's demand history. A
+  // failed re-solve leaves the mask-republished table routing.
+  void SetNodeLive(int node_index, bool live) {
+    placement_.SetNodeLive(node_index, live);
+    if (placement_.Rebalance(model_ptrs_, history_, live ? "node_up" : "node_down")) {
+      ++result_.churn_rebalances;
     }
-    RecomputePlacement();
+    RebuildNodeOf();
   }
 
   // Reclaims every container on the node (busy ones included — the spot
   // instance is gone; their completion events become no-ops) and marks it
   // Down.
   void ReclaimNode(NodeState* node) {
-    std::vector<ContainerId> ids;
-    ids.reserve(node->pool.Size());
-    for (const Container& container : node->pool.containers()) {
-      ids.push_back(container.id);
+    std::vector<Container>& containers = node->pool.containers();
+    result_.reclaimed_containers += containers.size();
+    for (Container& container : containers) {
+      ChargeIfPrewarmed(&container);
     }
-    result_.reclaimed_containers += ids.size();
-    for (const ContainerId id : ids) {
-      node->pool.Remove(id);
-    }
+    containers.clear();
     node->lifecycle = NodeLifecycle::kDown;
     node->drain_deadline = std::numeric_limits<double>::infinity();
   }
@@ -380,40 +394,15 @@ class Simulation {
     }
   }
 
-  // The live PlacementManager's Rebalance over the live subset, inline: the
-  // solver sees a contiguous 0..live-1 cluster and its indices are remapped
-  // back to physical node ids (dead nodes receive no assignments).
-  void RecomputePlacement() {
-    std::vector<int> live_ids;
-    if (!live_mask_.empty()) {
-      for (int node = 0; node < config_.num_nodes; ++node) {
-        if (live_mask_[static_cast<size_t>(node)] != 0) {
-          live_ids.push_back(node);
-        }
-      }
-    }
-    const int solve_nodes =
-        live_ids.empty() ? config_.num_nodes : static_cast<int>(live_ids.size());
-    Placement assignment = placement_policy_->Compute(model_ptrs_, history_, solve_nodes);
-    if (!live_ids.empty()) {
-      for (auto& [function, node] : assignment) {
-        node = live_ids[static_cast<size_t>(std::clamp(node, 0, solve_nodes - 1))];
-      }
-    }
-    table_ = std::make_shared<PlacementTable>(table_->version() + 1, config_.placement.kind,
-                                              config_.num_nodes, assignment, live_mask_);
-    RebuildNodeOf();
-    ++result_.churn_rebalances;
-  }
-
   // Refreshes the FunctionId -> node routing array from the current table.
   // O(functions) per publish — publishes happen once at startup plus once per
   // churn rebalance, never per request.
   void RebuildNodeOf() {
     const size_t num_functions = model_of_.empty() ? functions_->size() : model_of_.size();
     node_of_.resize(num_functions);
+    const std::shared_ptr<const PlacementTable> table = placement_.Table();
     for (size_t fn = 0; fn < num_functions; ++fn) {
-      node_of_[fn] = table_->NodeOrHash(functions_->Name(static_cast<FunctionId>(fn)));
+      node_of_[fn] = table->NodeOrHash(functions_->Name(static_cast<FunctionId>(fn)));
     }
   }
 
@@ -434,9 +423,8 @@ class Simulation {
     // Sweep keep-alive expiry up front: a pre-warm that died unused charges
     // the waste bucket on this cycle, not at the horizon.
     for (NodeState& node : nodes_) {
-      node.pool.ReapExpired(now);
+      result_.warming_waste += node.pool.ReapExpired(now);
     }
-    PurgePrewarmWaste();
     // Nonzero entries only — the by-name map the live telemetry harvest
     // produces (a function appears once it has served at least once).
     std::map<std::string, uint64_t> served;
@@ -445,14 +433,13 @@ class Simulation {
         served.emplace(functions_->Name(static_cast<FunctionId>(fn)), served_counts_[fn]);
       }
     }
-    warming_demand_->RecordCumulative(served);
+    placement_.RecordDemand(served);
     const std::vector<WarmingOrder> orders =
-        warming_engine_->PlanOrders(warming_demand_->History(), *table_);
+        warming_engine_->PlanOrders(placement_.DemandHistory(), *placement_.Table());
     result_.warming_orders += orders.size();
     for (const WarmingOrder& order : orders) {
       ExecutePrewarm(order, now);
     }
-    PurgePrewarmWaste();
   }
 
   // Executes one speculative pre-warm. Speculation never evicts and never
@@ -474,23 +461,12 @@ class Simulation {
       ++result_.warming_skipped;
       return;
     }
-    const ModelCosts& costs = *costs_of_[static_cast<size_t>(fn)];
-    node.pool.ReapExpired(now);
+    result_.warming_waste += node.pool.ReapExpired(now);
     if (node.pool.FindWarm(order.function) != nullptr) {
       ++result_.warming_skipped;
       return;
     }
-
-    const int64_t needed_memory = ContainerBytes(costs);
-    StartupRequest request;
-    request.dest = model_of_[static_cast<size_t>(fn)];
-    request.dest_costs = &costs;
-    request.donors = node.pool.TransformCandidates(
-        order.function, now, config_.fine_grained_containers ? needed_memory : 0);
-    request.has_free_slot = node.pool.CanLaunch(needed_memory);
-    for (const Container& container : node.pool.containers()) {
-      request.resident_functions.push_back(container.function);
-    }
+    const StartupRequest request = StartupRequestFor(node, fn, now);
     if (!request.has_free_slot && request.donors.empty()) {
       ++result_.warming_skipped;
       return;
@@ -498,14 +474,12 @@ class Simulation {
     const StartupResult startup = policy_->Acquire(request);
     Container* container = nullptr;
     if (startup.donor != nullptr) {
-      if (prewarmed_.erase({order.node, startup.donor->id}) > 0) {
-        ++result_.warming_waste;  // One pre-warm consumed another before any hit.
-      }
+      ChargeIfPrewarmed(startup.donor);  // One pre-warm consumed another before any hit.
       startup.donor->function = order.function;
       container = startup.donor;
       ++result_.warming_prewarms_transform;
     } else if (request.has_free_slot) {
-      container = node.pool.Launch(order.function, now, now, needed_memory);
+      container = node.pool.Launch(order.function, now, now, ContainerBytes(*request.dest_costs));
       ++result_.warming_prewarms_cold;
     } else {
       ++result_.warming_skipped;  // The policy declined every donor on a full node.
@@ -513,35 +487,37 @@ class Simulation {
     }
     // Busy through init + load: a request arriving before the container is
     // ready queues behind it exactly as it would behind a reactive start.
-    const double ready = now + startup.init_seconds + startup.load_seconds;
-    container->state = ContainerState::kBusy;
-    container->busy_until = ready;
-    container->last_active = now;
-    if (config_.eviction == EvictionPolicy::kGreedyDual) {
-      container->priority = gd_clock_ + config_.profile.InitCost() + costs.scratch_load;
-    }
-    prewarmed_[{order.node, container->id}] = now;
-    Event completion;
-    completion.time = ready;
-    completion.type = EventType::kCompletion;
-    completion.node = order.node;
-    completion.container = container->id;
-    Schedule(completion, kBandDynamic, &dynamic_seq_);
+    MarkBusy(container, order.node, fn, now, now + startup.init_seconds + startup.load_seconds);
+    container->prewarmed = true;
+    container->prewarmed_at = now;
   }
 
-  // Charges pre-warmed containers that vanished (keep-alive reap, churn
-  // reclaim) before their first hit to the waste bucket, preserving
+  // Charges a pre-warmed container consumed (repurposed, evicted, reclaimed)
+  // before its first hit to the waste bucket, preserving
   //   prewarms_cold + prewarms_transform == hits + waste + unused.
-  void PurgePrewarmWaste() {
-    for (auto it = prewarmed_.begin(); it != prewarmed_.end();) {
-      NodeState& node = nodes_[static_cast<size_t>(it->first.first)];
-      if (node.pool.Find(it->first.second) == nullptr) {
-        ++result_.warming_waste;
-        it = prewarmed_.erase(it);
-      } else {
-        ++it;
-      }
+  void ChargeIfPrewarmed(Container* container) {
+    if (container->prewarmed) {
+      container->prewarmed = false;
+      ++result_.warming_waste;
     }
+  }
+
+  // The startup policy's view of `node` for a new container of `fn`: its
+  // donors (large enough to host the model under fine-grained containers,
+  // §6), whether a container fits without eviction, and what runs there.
+  StartupRequest StartupRequestFor(NodeState& node, FunctionId fn, double now) {
+    const ModelCosts& costs = *costs_of_[static_cast<size_t>(fn)];
+    const int64_t needed_memory = ContainerBytes(costs);
+    StartupRequest request;
+    request.dest = model_of_[static_cast<size_t>(fn)];
+    request.dest_costs = &costs;
+    request.donors = node.pool.TransformCandidates(
+        functions_->Name(fn), now, config_.fine_grained_containers ? needed_memory : 0);
+    request.has_free_slot = node.pool.CanLaunch(needed_memory);
+    for (const Container& container : node.pool.containers()) {
+      request.resident_functions.push_back(container.function);
+    }
+    return request;
   }
 
   // Memory a new container for the model takes (0 when memory is unmodeled).
@@ -553,9 +529,82 @@ class Simulation {
                                            : config_.uniform_container_bytes;
   }
 
-  // Folds one served request into the accumulators and shows it to the
-  // observer. Runs at serve time, so sums fold in serve order.
-  void Commit(const RequestRecord& record) {
+  // Attempts to serve the request on its node right now; returns false if it
+  // must (continue to) queue.
+  bool TryServe(int node_index, const QueuedRequest& queued, double now) {
+    NodeState& node = nodes_[static_cast<size_t>(node_index)];
+    const FunctionId fn = queued.fn;
+    result_.warming_waste += node.pool.ReapExpired(now);
+
+    RequestRecord record;
+    record.function = fn;
+    record.ordinal = queued.ordinal;
+    record.arrival = queued.arrival;
+    record.wait = now - record.arrival;
+    record.compute = costs_of_[static_cast<size_t>(fn)]->inference;
+
+    const std::string& function = functions_->Name(fn);
+
+    // Warm start: an idle container already serving this function.
+    if (Container* warm = node.pool.FindWarm(function)) {
+      if (warm->prewarmed) {
+        // First hit on a speculative pre-warm: the forecast paid off.
+        ++result_.warming_hits;
+        result_.warming_lead_seconds.push_back(now - warm->prewarmed_at);
+        warm->prewarmed = false;
+      }
+      record.start = StartType::kWarm;
+      record.init = 0.0;
+      record.load = 0.0;
+      Serve(warm, node_index, record, now);
+      return true;
+    }
+
+    const StartupRequest request = StartupRequestFor(node, fn, now);
+    const StartupResult startup = policy_->Acquire(request);
+    record.start = startup.type;
+    record.init = startup.init_seconds;
+    record.load = startup.load_seconds;
+
+    if (startup.donor != nullptr) {
+      ChargeIfPrewarmed(startup.donor);  // A reactive transform consumed an unused pre-warm.
+      // Repurpose the donor container for this function.
+      startup.donor->function = function;
+      Serve(startup.donor, node_index, record, now);
+      return true;
+    }
+
+    // Start a new container, evicting idle containers (per the eviction
+    // policy) until it fits, slot- and memory-wise.
+    const int64_t needed_memory = ContainerBytes(*request.dest_costs);
+    while (!node.pool.CanLaunch(needed_memory)) {
+      Container* victim = config_.eviction == EvictionPolicy::kGreedyDual
+                              ? node.pool.MinPriorityIdle()
+                              : node.pool.LruIdle();
+      if (victim == nullptr) {
+        return false;  // All containers busy: queue.
+      }
+      // Greedy-dual aging: the clock advances to the evicted priority.
+      if (config_.eviction == EvictionPolicy::kGreedyDual) {
+        gd_clock_ = std::max(gd_clock_, victim->priority);
+      }
+      ChargeIfPrewarmed(victim);  // Eviction beat the forecast to the slot.
+      node.pool.Remove(victim->id);
+    }
+    Serve(node.pool.Launch(function, now, now, needed_memory), node_index, record, now);
+    return true;
+  }
+
+  // Occupies the container through init + load + compute, folds the request
+  // into the accumulators and shows it to the observer. Runs at serve time,
+  // so sums fold in serve order.
+  void Serve(Container* container, int node_index, const RequestRecord& record, double now) {
+    if (warming_engine_ != nullptr) {
+      // The sim mirror of the per-function invoke counters WarmNow harvests.
+      ++served_counts_[static_cast<size_t>(record.function)];
+    }
+    MarkBusy(container, node_index, record.function, now,
+             now + record.init + record.load + record.compute);
     ++result_.total_requests;
     result_.sum_wait += record.wait;
     result_.sum_init += record.init;
@@ -568,103 +617,9 @@ class Simulation {
     }
   }
 
-  // Attempts to serve the request on its node right now; returns false if it
-  // must (continue to) queue.
-  bool TryServe(int node_index, const QueuedRequest& queued, double now) {
-    NodeState& node = nodes_[static_cast<size_t>(node_index)];
-    const FunctionId fn = queued.fn;
-    const ModelCosts& costs = *costs_of_[static_cast<size_t>(fn)];
-    node.pool.ReapExpired(now);
-
-    RequestRecord record;
-    record.function = fn;
-    record.ordinal = queued.ordinal;
-    record.arrival = queued.arrival;
-    record.wait = now - record.arrival;
-    record.compute = costs.inference;
-
-    const std::string& function = functions_->Name(fn);
-
-    // Warm start: an idle container already serving this function.
-    if (Container* warm = node.pool.FindWarm(function)) {
-      const auto prewarm = prewarmed_.find({node_index, warm->id});
-      if (prewarm != prewarmed_.end()) {
-        // First hit on a speculative pre-warm: the forecast paid off.
-        ++result_.warming_hits;
-        result_.warming_lead_seconds.push_back(now - prewarm->second);
-        prewarmed_.erase(prewarm);
-      }
-      record.start = StartType::kWarm;
-      record.init = 0.0;
-      record.load = 0.0;
-      Occupy(warm, node_index, fn, now, record);
-      Commit(record);
-      return true;
-    }
-
-    const int64_t needed_memory = ContainerBytes(costs);
-
-    StartupRequest request;
-    request.dest = model_of_[static_cast<size_t>(fn)];
-    request.dest_costs = &costs;
-    // With fine-grained containers a donor must be large enough to host the
-    // new model (§6).
-    request.donors = node.pool.TransformCandidates(
-        function, now, config_.fine_grained_containers ? needed_memory : 0);
-    request.has_free_slot = node.pool.CanLaunch(needed_memory);
-    for (const Container& container : node.pool.containers()) {
-      request.resident_functions.push_back(container.function);
-    }
-    const StartupResult startup = policy_->Acquire(request);
-
-    record.start = startup.type;
-    record.init = startup.init_seconds;
-    record.load = startup.load_seconds;
-
-    if (startup.donor != nullptr) {
-      if (prewarmed_.erase({node_index, startup.donor->id}) > 0) {
-        ++result_.warming_waste;  // A reactive transform consumed an unused pre-warm.
-      }
-      // Repurpose the donor container for this function.
-      startup.donor->function = function;
-      Occupy(startup.donor, node_index, fn, now, record);
-      Commit(record);
-      return true;
-    }
-
-    // Start a new container, evicting idle containers (per the eviction
-    // policy) until it fits, slot- and memory-wise.
-    while (!node.pool.CanLaunch(needed_memory)) {
-      Container* victim = config_.eviction == EvictionPolicy::kGreedyDual
-                              ? node.pool.MinPriorityIdle()
-                              : node.pool.LruIdle();
-      if (victim == nullptr) {
-        return false;  // All containers busy: queue.
-      }
-      // Greedy-dual aging: the clock advances to the evicted priority.
-      if (config_.eviction == EvictionPolicy::kGreedyDual) {
-        gd_clock_ = std::max(gd_clock_, victim->priority);
-      }
-      if (prewarmed_.erase({node_index, victim->id}) > 0) {
-        ++result_.warming_waste;  // Eviction beat the forecast to the slot.
-      }
-      node.pool.Remove(victim->id);
-    }
-    Container* slot = node.pool.Launch(function, now, now, needed_memory);
-    Occupy(slot, node_index, fn, now, record);
-    Commit(record);
-    return true;
-  }
-
-  // Marks the container busy through init + load + compute and schedules the
-  // completion event.
-  void Occupy(Container* container, int node_index, FunctionId fn, double now,
-              const RequestRecord& record) {
-    if (warming_engine_ != nullptr) {
-      // The sim mirror of the per-function invoke counters WarmNow harvests.
-      ++served_counts_[static_cast<size_t>(fn)];
-    }
-    const double done = now + record.init + record.load + record.compute;
+  // Marks the container busy until `done`, refreshes its GreedyDual priority
+  // and schedules its completion event.
+  void MarkBusy(Container* container, int node_index, FunctionId fn, double now, double done) {
     container->state = ContainerState::kBusy;
     container->busy_until = done;
     container->last_active = now;
@@ -687,6 +642,9 @@ class Simulation {
   const FunctionTable* functions_;
   const std::map<std::string, DemandSeries>& history_;
   const RequestObserver& observer_;
+  // The live platform's placement coordinator: table, liveness mask and the
+  // warming demand accumulator.
+  PlacementManager placement_;
   double horizon_ = 0.0;
   VirtualClock clock_;
 
@@ -706,15 +664,9 @@ class Simulation {
   std::vector<uint64_t> served_counts_;
 
   double gd_clock_ = 0.0;
-  std::shared_ptr<const PlacementTable> table_;
-  std::unique_ptr<PlacementPolicy> placement_policy_;
-  std::vector<uint8_t> live_mask_;  // Empty = all nodes live.
   std::unique_ptr<StartupPolicy> policy_;
-  // --- Forecast-driven warming (null/empty when SimConfig::warming is off).
+  // Forecast-driven warming (null when SimConfig::warming is off).
   std::unique_ptr<WarmingEngine> warming_engine_;
-  std::unique_ptr<DemandAccumulator> warming_demand_;
-  // Pre-warmed containers awaiting their first hit: (node, id) -> born time.
-  std::map<std::pair<int, ContainerId>, double> prewarmed_;
   std::vector<NodeState> nodes_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
   // Lazy scheduling state: churn events sorted by time (stable, preserving

@@ -71,9 +71,9 @@ struct SimConfig {
   double keep_alive = 600.0;      // 10-minute keep-alive (§8.1).
   EvictionPolicy eviction = EvictionPolicy::kLru;
   SystemProfile profile = SystemProfile::Cpu();
-  // Placement strategy — the same PlacementPolicy implementations the live
-  // platform routes through (src/placement). The paper's Optimus uses the
-  // model sharing-aware policy; existing systems hash.
+  // Placement strategy, solved by the live platform's PlacementManager
+  // (src/placement). The paper's Optimus uses the model sharing-aware
+  // policy; existing systems hash.
   PlacementOptions placement;
   PlannerKind planner = PlannerKind::kGroup;
 
@@ -95,7 +95,8 @@ struct SimConfig {
   // Scheduled revocations/revives. On a revoke the node stops receiving new
   // routes (the placement table republishes with the node masked dead and the
   // policy re-clusters over the survivors), its queued requests re-home, and
-  // its containers are reclaimed when the grace window closes.
+  // its containers are reclaimed when the grace window closes. A node with
+  // no live peer left is still routed to; it fails what it cannot serve.
   std::vector<NodeChurnEvent> churn;
 
   // --- Forecast-driven warming (DESIGN.md §17). -----------------------------
@@ -135,14 +136,21 @@ struct SimResult {
   std::array<uint64_t, 3> start_counts{};
   // Log-bucketed service-time distribution (~5% relative resolution).
   LatencyHistogram service_hist;
+  // Requests routed to a node that could not serve them (Down, or Draining
+  // past its grace window; only a total outage routes there) — the sim twin
+  // of the live platform's failed invokes (kUnavailable). Every arrival is
+  // either served or failed: total_requests + failed_requests == arrivals.
+  uint64_t failed_requests = 0;
 
   // Node-churn accounting (all zero when SimConfig::churn is empty).
   size_t revocations = 0;
   size_t revives = 0;
   size_t reclaimed_containers = 0;
-  // Queued requests re-dispatched off a revoked node onto survivors.
+  // Queued requests re-dispatched off a revoked node onto survivors (in a
+  // total outage they fail instead).
   size_t rehomed_requests = 0;
-  // Placement-table republishes triggered by churn (mask swap + re-cluster).
+  // Churn re-solves the placement manager published (one per revoke or
+  // revive whose re-cluster succeeded).
   size_t churn_rebalances = 0;
 
   // Forecast-driven warming accounting (all zero when SimConfig::warming is

@@ -64,8 +64,11 @@ TEST_F(ContainerPoolTest, KeepAliveReapsOnlyExpiredIdle) {
   Container* busy = pool_.Launch("c", 0.0, 0.0);
   busy->state = ContainerState::kBusy;
   busy->last_active = 0.0;
+  old_idle->prewarmed = true;
+  fresh_idle->prewarmed = true;
 
-  pool_.ReapExpired(700.0);  // keep_alive = 600: only "a" expired.
+  // keep_alive = 600: only "a" expired, a pre-warm never hit.
+  EXPECT_EQ(pool_.ReapExpired(700.0), 1u);
   EXPECT_EQ(pool_.Size(), 2u);
   EXPECT_EQ(pool_.FindWarm("a"), nullptr);
   EXPECT_NE(pool_.FindWarm("b"), nullptr);

@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/fault.h"
@@ -662,13 +663,14 @@ TEST_F(SimChurnTest, ChurnServesEveryRequestAndAccounts) {
   const SimResult result = RunSimulation(models_, trace, config_, costs_);
   // Zero lost/duplicated: every arrival was served exactly once.
   EXPECT_EQ(result.total_requests, trace.size());
+  EXPECT_EQ(result.failed_requests, 0u);
   EXPECT_EQ(result.CountOf(StartType::kWarm) + result.CountOf(StartType::kTransform) +
                 result.CountOf(StartType::kCold),
             trace.size());
   EXPECT_EQ(result.revocations, 1u);
   EXPECT_EQ(result.revives, 1u);
-  // Kill + revive each republish the placement (mask swap + re-cluster).
-  EXPECT_GE(result.churn_rebalances, 2u);
+  // Kill + revive each re-cluster once.
+  EXPECT_EQ(result.churn_rebalances, 2u);
 }
 
 TEST_F(SimChurnTest, GracefulDrainReclaimsAfterWindow) {
@@ -699,6 +701,57 @@ TEST_F(SimChurnTest, ChurnRunsAreDeterministic) {
   EXPECT_EQ(a.reclaimed_containers, b.reclaimed_containers);
   EXPECT_EQ(a.rehomed_requests, b.rehomed_requests);
   EXPECT_EQ(a.churn_rebalances, b.churn_rebalances);
+}
+
+// A total outage (DESIGN.md §16): the only node is revoked at 250 s and never
+// revived. Requests routed to it still start while it is servable, which with
+// grace lasts until the window closes, as live; the rest fail.
+TEST_F(SimChurnTest, TotalOutageFailsWhatTheNodeCannotServe) {
+  Trace trace;
+  for (int i = 0; i < 10; ++i) {
+    trace.push_back({100.0 * i, names_[0]});
+  }
+  config_.num_nodes = 1;
+  for (const auto& [grace, served] : {std::pair{0.0, 3u}, std::pair{200.0, 5u}}) {
+    SimConfig config = config_;
+    config.churn.push_back({250.0, 0, false, grace});
+    const SimResult result = RunSimulation(models_, trace, config, costs_);
+    EXPECT_EQ(result.total_requests, served) << "grace " << grace;
+    EXPECT_EQ(result.failed_requests, trace.size() - served) << "grace " << grace;
+    EXPECT_EQ(result.revocations, 1u);
+    EXPECT_EQ(result.reclaimed_containers, 1u);
+  }
+}
+
+// In a total outage, a request still queued on the draining node when its
+// window closes has not started: it fails with the node rather than starting
+// there once the reclaimed container's completion fires.
+TEST_F(SimChurnTest, RequestQueuedPastDrainDeadlineFails) {
+  config_.num_nodes = 1;
+  config_.containers_per_node = 1;
+  config_.churn.push_back({100.0, 0, false, 50.0});  // Draining until 150 s.
+  const Trace trace = {{149.0, names_[0]}, {149.5, names_[1]}};
+  const SimResult result = RunSimulation(models_, trace, config_, costs_);
+  EXPECT_EQ(result.total_requests, 1u);
+  EXPECT_EQ(result.failed_requests, 1u);
+  EXPECT_EQ(result.rehomed_requests, 1u);
+}
+
+// The node_down re-solve fails (hit 1 is the initial solve, hit 3 node_up).
+// As live, the table republished under the new mask keeps routing, so node
+// 0's functions re-home onto node 1 and nothing is lost.
+TEST_F(SimChurnTest, FailedChurnResolveKeepsMaskTableRouting) {
+  const Trace trace = SteadyTrace(600.0, 20.0);
+  config_.churn.push_back({150.0, 0, false, 0.0});
+  config_.churn.push_back({400.0, 0, true, 0.0});
+  fault::ScopedFaults faults("placement.rebalance=at:2");
+  const SimResult result = RunSimulation(models_, trace, config_, costs_);
+  EXPECT_EQ(fault::Fires("placement.rebalance"), 1u);
+  EXPECT_EQ(result.total_requests, trace.size());
+  EXPECT_EQ(result.failed_requests, 0u);
+  EXPECT_EQ(result.revocations, 1u);
+  EXPECT_EQ(result.revives, 1u);
+  EXPECT_EQ(result.churn_rebalances, 1u);
 }
 
 TEST_F(SimChurnTest, ChurnFreeConfigMatchesBaselineCounters) {

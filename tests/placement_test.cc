@@ -316,6 +316,38 @@ TEST(PlacementManagerTest, StatsJsonCarriesVersionAndPolicy) {
   EXPECT_NE(json.find("\"node_functions\":["), std::string::npos) << json;
 }
 
+// With a node dead, PreviewRebalance predicts exactly the table the next
+// Rebalance publishes, and neither puts a function on the dead node.
+TEST(PlacementManagerTest, PreviewPredictsLiveSubsetRebalance) {
+  AnalyticCostModel costs;
+  PlacementManagerOptions options;
+  options.num_nodes = 4;
+  PlacementManager manager(options, &costs, nullptr);
+  const MemoFleet fleet = MakeMemoFleet();
+  const std::vector<const Model*> placed = fleet.Placed();
+  ASSERT_TRUE(manager.Rebalance(placed, fleet.history, "initial"));
+  constexpr int kDead = 2;
+  ASSERT_GT(manager.Table()->NodeFunctionCounts()[kDead], 0u);
+  ASSERT_TRUE(manager.SetNodeLive(kDead, false));
+
+  const std::shared_ptr<const PlacementTable> serving = manager.Table();
+  const PlacementDiff diff = manager.PreviewRebalance(placed, fleet.history);
+  EXPECT_EQ(diff.version, serving->version());
+  EXPECT_EQ(diff.moves.size() + diff.unchanged, placed.size());
+  Placement predicted(serving->assignment().begin(), serving->assignment().end());
+  for (const PlacementDiff::Move& move : diff.moves) {
+    EXPECT_EQ(move.from, serving->NodeOf(move.function)) << move.function;
+    EXPECT_NE(move.to, kDead) << move.function;
+    predicted[move.function] = move.to;
+  }
+
+  ASSERT_TRUE(manager.Rebalance(placed, fleet.history, "node_down"));
+  const std::shared_ptr<const PlacementTable> published = manager.Table();
+  EXPECT_EQ(Placement(published->assignment().begin(), published->assignment().end()),
+            predicted);
+  EXPECT_EQ(published->NodeFunctionCounts()[kDead], 0u);
+}
+
 // --- O(1) routing regression --------------------------------------------------
 
 // A warm hit must take exactly one node lock, independent of cluster size —

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -16,10 +17,18 @@
 namespace optimus {
 namespace {
 
+// kBurst sends every function four times within 0.2 s, every 300 s: 32
+// requests at once on 2 x 3 containers, so requests queue on their node.
+enum class Workload : uint8_t { kPoisson = 0, kAzure, kBurst };
+
 struct SimCase {
   SystemType system;
-  bool azure;
+  Workload workload;
 };
+// The test names print these bytes (e.g. "2-byte object <03-02>"), so the
+// struct must stay free of padding for the names to stay the same across
+// builds.
+static_assert(sizeof(SimCase) == 2);
 
 class SimInvariantsTest : public testing::TestWithParam<SimCase> {
  protected:
@@ -36,12 +45,23 @@ class SimInvariantsTest : public testing::TestWithParam<SimCase> {
     return models;
   }
 
-  static Trace WorkloadFor(bool azure, const std::vector<Model>& models) {
+  static Trace WorkloadFor(Workload workload, const std::vector<Model>& models) {
     std::vector<std::string> names;
     for (const Model& model : models) {
       names.push_back(model.name());
     }
-    if (azure) {
+    if (workload == Workload::kBurst) {
+      Trace trace;
+      for (double burst = 0.0; burst < 3600.0; burst += 300.0) {
+        for (int repeat = 0; repeat < 4; ++repeat) {
+          for (const std::string& name : names) {
+            trace.push_back({burst + 0.05 * repeat, name});
+          }
+        }
+      }
+      return trace;
+    }
+    if (workload == Workload::kAzure) {
       AzureTraceOptions options;
       options.horizon_seconds = 3600.0;
       options.seed = 31;
@@ -81,9 +101,9 @@ class SimInvariantsTest : public testing::TestWithParam<SimCase> {
 };
 
 TEST_P(SimInvariantsTest, ConservationAndCausality) {
-  const auto [system, azure] = GetParam();
+  const auto [system, workload] = GetParam();
   const auto models = Models();
-  const Trace trace = WorkloadFor(azure, models);
+  const Trace trace = WorkloadFor(workload, models);
   ASSERT_GT(trace.size(), 50u);
   AnalyticCostModel costs;
   std::vector<RequestRecord> records;
@@ -95,9 +115,18 @@ TEST_P(SimInvariantsTest, ConservationAndCausality) {
   ASSERT_EQ(records.size(), trace.size());
   CheckFunctionIds(trace, records);
   const SystemProfile profile;
+  // A node queues FIFO and routes each function to one node, so a function's
+  // requests start (arrival + wait) in arrival order.
+  std::map<FunctionId, double> last_start;
+  double max_wait = 0.0;
   for (size_t i = 0; i < trace.size(); ++i) {
     const RequestRecord& record = records[i];
     EXPECT_DOUBLE_EQ(record.arrival, trace[i].arrival);
+    const double start = record.arrival + record.wait;
+    const auto [last, first] = last_start.emplace(record.function, start);
+    EXPECT_TRUE(first || last->second <= start) << "request " << i;
+    last->second = start;
+    max_wait = std::max(max_wait, record.wait);
     // Causality: no negative phases.
     EXPECT_GE(record.wait, 0.0);
     EXPECT_GE(record.init, 0.0);
@@ -115,19 +144,23 @@ TEST_P(SimInvariantsTest, ConservationAndCausality) {
   EXPECT_EQ(result.CountOf(StartType::kWarm) + result.CountOf(StartType::kTransform) +
                 result.CountOf(StartType::kCold),
             trace.size());
+  // The burst workload drives the node queues.
+  if (workload == Workload::kBurst) {
+    EXPECT_GT(max_wait, 0.0);
+  }
 }
 
 TEST_P(SimInvariantsTest, LoadNeverExceedsScratchPlusTransfer) {
   // The safeguard guarantees the model-acquisition phase never exceeds a full
   // scratch load of the requested model (§4.4 worst case).
-  const auto [system, azure] = GetParam();
+  const auto [system, workload] = GetParam();
   const auto models = Models();
   std::map<std::string, double> scratch;
   AnalyticCostModel costs;
   for (const Model& model : models) {
     scratch[model.name()] = costs.ScratchLoadCost(model);
   }
-  const Trace trace = WorkloadFor(azure, models);
+  const Trace trace = WorkloadFor(workload, models);
   std::vector<RequestRecord> records;
   RunSimulation(models, trace, ConfigFor(system), costs, RecordByOrdinal(&records));
   ASSERT_EQ(records.size(), trace.size());
@@ -139,9 +172,9 @@ TEST_P(SimInvariantsTest, LoadNeverExceedsScratchPlusTransfer) {
 }
 
 TEST_P(SimInvariantsTest, DeterministicReplay) {
-  const auto [system, azure] = GetParam();
+  const auto [system, workload] = GetParam();
   const auto models = Models();
-  const Trace trace = WorkloadFor(azure, models);
+  const Trace trace = WorkloadFor(workload, models);
   AnalyticCostModel costs;
   std::vector<RequestRecord> a;
   std::vector<RequestRecord> b;
@@ -157,10 +190,18 @@ TEST_P(SimInvariantsTest, DeterministicReplay) {
 
 INSTANTIATE_TEST_SUITE_P(
     SystemsAndWorkloads, SimInvariantsTest,
-    testing::Values(SimCase{SystemType::kOpenWhisk, false}, SimCase{SystemType::kOpenWhisk, true},
-                    SimCase{SystemType::kPagurus, false}, SimCase{SystemType::kPagurus, true},
-                    SimCase{SystemType::kTetris, false}, SimCase{SystemType::kTetris, true},
-                    SimCase{SystemType::kOptimus, false}, SimCase{SystemType::kOptimus, true}));
+    testing::Values(SimCase{SystemType::kOpenWhisk, Workload::kPoisson},
+                    SimCase{SystemType::kOpenWhisk, Workload::kAzure},
+                    SimCase{SystemType::kOpenWhisk, Workload::kBurst},
+                    SimCase{SystemType::kPagurus, Workload::kPoisson},
+                    SimCase{SystemType::kPagurus, Workload::kAzure},
+                    SimCase{SystemType::kPagurus, Workload::kBurst},
+                    SimCase{SystemType::kTetris, Workload::kPoisson},
+                    SimCase{SystemType::kTetris, Workload::kAzure},
+                    SimCase{SystemType::kTetris, Workload::kBurst},
+                    SimCase{SystemType::kOptimus, Workload::kPoisson},
+                    SimCase{SystemType::kOptimus, Workload::kAzure},
+                    SimCase{SystemType::kOptimus, Workload::kBurst}));
 
 TEST(SimOrderingTest, OptimusNeverLosesToOpenWhiskAcrossSeeds) {
   // The headline claim, swept over workload seeds: Optimus' average service

@@ -103,6 +103,7 @@ SimResult ExpectObserverChangesNothing(const std::vector<Model>& models, const T
       RunSimulation(models, trace, config, costs, [&](const RequestRecord&) { ++observed; });
   EXPECT_EQ(observed, plain.total_requests);
   EXPECT_EQ(watched.total_requests, plain.total_requests);
+  EXPECT_EQ(watched.failed_requests, plain.failed_requests);
   EXPECT_EQ(watched.start_counts, plain.start_counts);
   EXPECT_EQ(watched.sum_wait, plain.sum_wait);
   EXPECT_EQ(watched.sum_init, plain.sum_init);
