@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "src/balancer/balancer.h"
+#include "src/placement/placement.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/metrics.h"
 #include "src/workload/azure.h"

@@ -95,7 +95,6 @@ OptimusPlatform::OptimusPlatform(const CostModel* costs, const PlatformOptions& 
   placement_options.policy = options.placement;
   placement_options.num_nodes = options.num_nodes;
   placement_options.rebalance_interval = options.rebalance_interval;
-  placement_options.demand_slots = options.demand_slots;
   placement_ = std::make_unique<PlacementManager>(placement_options, costs, &metrics_);
   // Always construct the engine (the gateway admin route can enable warming
   // at runtime); the loop thread only exists when a cadence is configured.
@@ -160,37 +159,44 @@ void OptimusPlatform::RebalancerLoop() {
   }
 }
 
+std::vector<const Model*> OptimusPlatform::DeployedModels() const {
+  std::vector<const Model*> models;
+  ReaderLock lock(repository_mutex_);
+  models.reserve(repository_.size());
+  for (const auto& [name, entry] : repository_) {
+    models.push_back(&entry.model);  // Map nodes are stable; models immutable.
+  }
+  return models;
+}
+
+std::map<std::string, uint64_t> OptimusPlatform::InvokeTotals() const {
+  std::map<std::string, uint64_t> totals;
+  ReaderLock lock(repository_mutex_);
+  for (const auto& [name, entry] : repository_) {
+    totals[name] = entry.invoke_seconds != nullptr ? entry.invoke_seconds->Count() : 0;
+  }
+  return totals;
+}
+
 bool OptimusPlatform::RebalanceNow(const std::string& reason) {
   // Harvest the demand signal: the per-function invoke histograms' cumulative
   // counts in the telemetry registry. The accumulator turns successive
   // harvests into slotted demand series for the §5.1 correlation term.
-  std::map<std::string, uint64_t> totals;
-  std::vector<const Model*> models;
-  {
-    ReaderLock lock(repository_mutex_);
-    models.reserve(repository_.size());
-    for (const auto& [name, entry] : repository_) {
-      totals[name] = entry.invoke_seconds != nullptr ? entry.invoke_seconds->Count() : 0;
-      models.push_back(&entry.model);  // Map nodes are stable; models immutable.
-    }
-  }
-  if (models.empty()) {
+  const std::map<std::string, uint64_t> totals = InvokeTotals();
+  if (totals.empty()) {
     return false;  // Nothing to place yet.
   }
   placement_->RecordDemand(totals);
-  return placement_->Rebalance(models, placement_->DemandHistory(), reason);
+  return ResolvePlacement(reason);
+}
+
+bool OptimusPlatform::ResolvePlacement(const std::string& reason) {
+  const std::vector<const Model*> models = DeployedModels();
+  return !models.empty() && placement_->Rebalance(models, placement_->DemandHistory(), reason);
 }
 
 PlacementDiff OptimusPlatform::PreviewRebalance() {
-  std::vector<const Model*> models;
-  {
-    ReaderLock lock(repository_mutex_);
-    models.reserve(repository_.size());
-    for (const auto& [name, entry] : repository_) {
-      models.push_back(&entry.model);
-    }
-  }
-  return placement_->PreviewRebalance(models, placement_->DemandHistory());
+  return placement_->PreviewRebalance(DeployedModels(), placement_->DemandHistory());
 }
 
 void OptimusPlatform::RequestWarming() {
@@ -231,13 +237,7 @@ size_t OptimusPlatform::WarmNow(double now) {
   // Harvest the same demand signal the rebalancer uses, through the same
   // accumulator — GET /demand therefore shows exactly the series the
   // forecaster predicted from.
-  std::map<std::string, uint64_t> totals;
-  {
-    ReaderLock lock(repository_mutex_);
-    for (const auto& [name, entry] : repository_) {
-      totals[name] = entry.invoke_seconds != nullptr ? entry.invoke_seconds->Count() : 0;
-    }
-  }
+  const std::map<std::string, uint64_t> totals = InvokeTotals();
   warming_cycles_.Inc();
   // Sweep expired containers on every cycle so a speculation that died
   // unused is charged to the waste bucket promptly — even on cycles that
@@ -421,7 +421,7 @@ bool OptimusPlatform::RevokeNode(int node, double grace_seconds, double now) {
   // functions over the live ring immediately; the full policy re-cluster
   // ("node_down") then revises the placement over the surviving nodes.
   placement_->SetNodeLive(node, false);
-  RebalanceNow("node_down");
+  ResolvePlacement("node_down");
   return true;
 }
 
@@ -434,7 +434,7 @@ bool OptimusPlatform::ReviveNode(int node) {
   }
   node_revives_.Inc();
   placement_->SetNodeLive(node, true);
-  RebalanceNow("node_up");
+  ResolvePlacement("node_up");
   return true;
 }
 

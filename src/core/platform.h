@@ -119,8 +119,6 @@ struct PlatformOptions {
   // Neighbor nodes probed (for a warm container or a free slot) when the
   // primary node is under capacity pressure; 0 pins requests to the primary.
   int route_fallback_breadth = 1;
-  // Demand-history slots retained for the §5.1 correlation term.
-  size_t demand_slots = 32;
   // Forecast-driven warming (DESIGN.md §17). Disabled by default; when
   // enabled with warming.interval > 0 a background loop runs one warming
   // cycle per interval of virtual time (driven by invoke timestamps, like
@@ -263,8 +261,9 @@ class OptimusPlatform {
   // re-homed through the active policy (reason "node_down"). A grace of zero
   // reclaims the node's containers and spare arenas on the spot. ReviveNode
   // brings a Down node back (Reviving; placement republishes with reason
-  // "node_up"). Both return false when the node is not in a state that admits
-  // the transition.
+  // "node_up"). Both re-solve from the demand history as it stands, closing
+  // no demand slot. Both return false when the node is not in a state that
+  // admits the transition.
   bool RevokeNode(int node, double grace_seconds, double now);
   bool ReviveNode(int node);
   NodeLifecycle NodeState(int node) const { return pool_->Lifecycle(node); }
@@ -316,6 +315,16 @@ class OptimusPlatform {
   // other exceptions TryInvoke classifies as kInternal).
   InvokeResult InvokeInternal(const std::string& function, const std::vector<float>& input,
                               double now, telemetry::TraceContext* trace);
+  // The deployed models, in name order, and each deployed function's
+  // cumulative invoke count (the demand signal RebalanceNow and WarmNow
+  // harvest into the placement accumulator).
+  std::vector<const Model*> DeployedModels() const EXCLUDES(repository_mutex_);
+  std::map<std::string, uint64_t> InvokeTotals() const EXCLUDES(repository_mutex_);
+  // Re-solves the placement over the deployed models from the demand history
+  // as it stands, closing no slot: churn re-solves must not record a short
+  // slot the warming forecaster would read as falling demand. Returns false
+  // when nothing is deployed or the solve failed.
+  bool ResolvePlacement(const std::string& reason);
   // Wakes the background rebalancer (no-op when it is not running).
   void RequestRebalance() EXCLUDES(rebalance_mutex_);
   void RebalancerLoop() EXCLUDES(rebalance_mutex_);

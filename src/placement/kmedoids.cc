@@ -1,14 +1,15 @@
-#include "src/balancer/kmedoids.h"
+#include "src/placement/kmedoids.h"
 
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
 
-#include "src/common/rng.h"
-
 namespace optimus {
 
 namespace {
+
+// SWAP iterations before giving up on convergence.
+constexpr int kMaxSwapIterations = 50;
 
 // Assigns every point to its nearest medoid; returns the total distance.
 double Assign(const std::vector<std::vector<double>>& distance, const std::vector<int>& medoids,
@@ -32,8 +33,7 @@ double Assign(const std::vector<std::vector<double>>& distance, const std::vecto
 
 }  // namespace
 
-KMedoidsResult KMedoids(const std::vector<std::vector<double>>& distance, int k, uint64_t seed,
-                        int max_iterations) {
+KMedoidsResult KMedoids(const std::vector<std::vector<double>>& distance, int k) {
   const int n = static_cast<int>(distance.size());
   if (k < 1 || k > n) {
     throw std::invalid_argument("KMedoids: k must be in [1, n]");
@@ -57,7 +57,6 @@ KMedoidsResult KMedoids(const std::vector<std::vector<double>>& distance, int k,
     }
     result.medoids.push_back(best);
   }
-  Rng rng(seed);
   while (static_cast<int>(result.medoids.size()) < k) {
     int best = -1;
     double best_cost = std::numeric_limits<double>::infinity();
@@ -80,7 +79,7 @@ KMedoidsResult KMedoids(const std::vector<std::vector<double>>& distance, int k,
 
   // SWAP: try replacing each medoid with each non-medoid while it improves.
   result.total_distance = Assign(distance, result.medoids, &result.assignment);
-  for (int iteration = 0; iteration < max_iterations; ++iteration) {
+  for (int iteration = 0; iteration < kMaxSwapIterations; ++iteration) {
     bool improved = false;
     for (size_t c = 0; c < result.medoids.size(); ++c) {
       for (int candidate = 0; candidate < n; ++candidate) {

@@ -83,10 +83,6 @@ class PlacementManager {
   // over the surviving nodes.
   bool SetNodeLive(int node, bool live);
 
-  // Current liveness mask (empty = all nodes live). Lock-free snapshot read.
-  std::vector<uint8_t> LiveMask() const { return Table()->live_mask(); }
-  int LiveNodes() const { return Table()->live_nodes(); }
-
   // Full recompute via the policy's solver. Returns true when a new table was
   // published; on failure the previous table keeps serving and the failure
   // counter advances. `reason` labels optimus_rebalance_total (one of
@@ -114,7 +110,6 @@ class PlacementManager {
   size_t Rebalances() const;
   size_t RebalanceFailures() const;
   const PlacementManagerOptions& options() const { return options_; }
-  const PlacementPolicy& policy() const { return *policy_; }
 
   // One-line JSON summary for /stats and the gateway's placement endpoint.
   std::string StatsJson() const;

@@ -4,9 +4,25 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 
+#include "src/core/planner.h"
+#include "src/placement/kmedoids.h"
+
 namespace optimus {
+
+const char* BalancerKindName(BalancerKind kind) {
+  switch (kind) {
+    case BalancerKind::kHash:
+      return "Hash";
+    case BalancerKind::kLoadBased:
+      return "LoadBased";
+    case BalancerKind::kModelSharing:
+      return "ModelSharing";
+  }
+  return "Unknown";
+}
 
 const char* BalancerKindId(BalancerKind kind) {
   switch (kind) {
@@ -29,16 +45,6 @@ bool ParseBalancerKind(const std::string& name, BalancerKind* kind) {
     }
   }
   return false;
-}
-
-BalancerOptions ToBalancerOptions(const PlacementOptions& options) {
-  BalancerOptions solver;
-  solver.kind = options.kind;
-  solver.gamma_distance = options.gamma_distance;
-  solver.gamma_correlation = options.gamma_correlation;
-  solver.clusters_per_node = options.clusters_per_node;
-  solver.seed = options.seed;
-  return solver;
 }
 
 PlacementTable::PlacementTable(uint64_t version, BalancerKind kind, int num_nodes,
@@ -111,11 +117,37 @@ PlacementStore::PlacementStore(std::shared_ptr<const PlacementTable> initial) {
 
 namespace {
 
-// Per-node cap the incremental path honors: no node takes more than its fair
-// share of functions (mirrors the solver's member-level packing cap), so a
-// run of similar deploys cannot pile the whole repository onto one node.
-size_t IncrementalCap(size_t functions_after, int num_nodes) {
-  return (functions_after + static_cast<size_t>(num_nodes) - 1) / static_cast<size_t>(num_nodes);
+void RequireNodes(int num_nodes) {
+  if (num_nodes < 1) {
+    throw std::invalid_argument("PlacementPolicy::Compute: need at least one node");
+  }
+}
+
+int HashNode(const std::string& function, int num_nodes) {
+  return static_cast<int>(std::hash<std::string>{}(function) % static_cast<size_t>(num_nodes));
+}
+
+// Expected demand of `function`: one unit — every function contributes at
+// least a unit load — plus its total demand in `history`.
+double ExpectedDemand(const std::map<std::string, DemandSeries>& history,
+                      const std::string& function) {
+  const auto it = history.find(function);
+  return it == history.end() ? 1.0
+                             : 1.0 + std::accumulate(it->second.begin(), it->second.end(), 0.0);
+}
+
+// The §5.1 structural term before normalization: the symmetric edit distance
+// min(D(a,b), D(b,a)), each direction the group planner's transformation cost.
+double SymmetricEditDistance(const Model& a, const Model& b, const CostModel& costs) {
+  return std::min(ModelEditDistance(a, b, costs), ModelEditDistance(b, a, costs));
+}
+
+// The most functions one node takes: its fair share, rounded up. Both the
+// model-sharing solve and its incremental path honor it, so neither a hot
+// cluster nor a run of similar deploys can pile functions onto one node and
+// starve the others of container slots.
+size_t FairShareCap(size_t functions, int num_nodes) {
+  return (functions + static_cast<size_t>(num_nodes) - 1) / static_cast<size_t>(num_nodes);
 }
 
 int LeastLoadedNode(const std::vector<size_t>& counts) {
@@ -133,32 +165,45 @@ class HashPolicy final : public PlacementPolicy {
   BalancerKind kind() const override { return BalancerKind::kHash; }
 
   Placement Compute(const std::vector<const Model*>& models,
-                    const std::map<std::string, DemandSeries>& history,
+                    const std::map<std::string, DemandSeries>& /*history*/,
                     int num_nodes) const override {
-    return PlaceFunctions(models, num_nodes, history, /*costs=*/nullptr,
-                          ToBalancerOptions(PlacementOptions{BalancerKind::kHash}));
+    RequireNodes(num_nodes);
+    Placement placement;
+    for (const Model* model : models) {
+      placement[model->name()] = HashNode(model->name(), num_nodes);
+    }
+    return placement;
   }
 
   int PlaceOne(const Model& model, const std::vector<const Model*>& /*peers*/,
                const PlacementTable& current) const override {
-    return static_cast<int>(std::hash<std::string>{}(model.name()) %
-                            static_cast<size_t>(current.num_nodes()));
+    return HashNode(model.name(), current.num_nodes());
   }
 };
 
 class LoadBasedPolicy final : public PlacementPolicy {
  public:
-  explicit LoadBasedPolicy(const PlacementOptions& options) : options_(options) {}
-
   BalancerKind kind() const override { return BalancerKind::kLoadBased; }
 
   Placement Compute(const std::vector<const Model*>& models,
                     const std::map<std::string, DemandSeries>& history,
                     int num_nodes) const override {
-    PlacementOptions options = options_;
-    options.kind = BalancerKind::kLoadBased;
-    return PlaceFunctions(models, num_nodes, history, /*costs=*/nullptr,
-                          ToBalancerOptions(options));
+    RequireNodes(num_nodes);
+    // Greedy bin packing by expected demand: heaviest functions first, each
+    // to the currently least-loaded node.
+    std::vector<std::pair<double, std::string>> demand;
+    for (const Model* model : models) {
+      demand.emplace_back(ExpectedDemand(history, model->name()), model->name());
+    }
+    std::sort(demand.rbegin(), demand.rend());
+    std::vector<double> node_load(static_cast<size_t>(num_nodes), 0.0);
+    Placement placement;
+    for (const auto& [load, name] : demand) {
+      const auto lightest = std::min_element(node_load.begin(), node_load.end());
+      placement[name] = static_cast<int>(lightest - node_load.begin());
+      *lightest += load;
+    }
+    return placement;
   }
 
   int PlaceOne(const Model& /*model*/, const std::vector<const Model*>& /*peers*/,
@@ -167,9 +212,6 @@ class LoadBasedPolicy final : public PlacementPolicy {
     // load proxy: join the emptiest node.
     return LeastLoadedNode(current.NodeFunctionCounts());
   }
-
- private:
-  PlacementOptions options_;
 };
 
 class ModelSharingPolicy final : public PlacementPolicy {
@@ -182,10 +224,69 @@ class ModelSharingPolicy final : public PlacementPolicy {
   Placement Compute(const std::vector<const Model*>& models,
                     const std::map<std::string, DemandSeries>& history,
                     int num_nodes) const override {
-    return ModelSharingPlacement(
-        models, num_nodes, history,
-        [this](const Model& a, const Model& b) { return Distance(a, b); },
-        ToBalancerOptions(options_));
+    RequireNodes(num_nodes);
+    // Cluster at finer granularity than the node count, then bin-pack
+    // clusters onto nodes by expected demand: keeping whole clusters together
+    // preserves transformation affinity, while the packing keeps node load
+    // even (§5.1's "the load balancer should consider the load of nodes").
+    const int k = std::min<int>(std::max(1, options_.clusters_per_node) * num_nodes,
+                                static_cast<int>(models.size()));
+    const KMedoidsResult clusters = KMedoids(DistanceMatrix(models, history), k);
+
+    std::vector<double> demand(models.size());
+    std::vector<double> cluster_demand(static_cast<size_t>(k), 0.0);
+    std::vector<std::vector<size_t>> cluster_members(static_cast<size_t>(k));
+    for (size_t i = 0; i < models.size(); ++i) {
+      const auto cluster = static_cast<size_t>(clusters.assignment[i]);
+      demand[i] = ExpectedDemand(history, models[i]->name());
+      cluster_demand[cluster] += demand[i];
+      cluster_members[cluster].push_back(i);
+    }
+
+    // Member-level greedy packing with cluster affinity: every function
+    // prefers a node that already hosts its cluster (so transformation
+    // donors stay local), up to the fair-share cap.
+    const size_t cap = FairShareCap(models.size(), num_nodes);
+    std::vector<int> order(static_cast<size_t>(k));
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      return cluster_demand[static_cast<size_t>(a)] > cluster_demand[static_cast<size_t>(b)];
+    });
+
+    std::vector<double> node_load(static_cast<size_t>(num_nodes), 0.0);
+    std::vector<size_t> node_count(static_cast<size_t>(num_nodes), 0);
+    Placement placement;
+    for (const int cluster : order) {
+      std::vector<bool> hosts_cluster(static_cast<size_t>(num_nodes), false);
+      for (const size_t member : cluster_members[static_cast<size_t>(cluster)]) {
+        int best_node = -1;
+        for (int node = 0; node < num_nodes; ++node) {
+          if (node_count[static_cast<size_t>(node)] >= cap) {
+            continue;
+          }
+          if (best_node == -1) {
+            best_node = node;
+            continue;
+          }
+          const bool best_hosts = hosts_cluster[static_cast<size_t>(best_node)];
+          const bool node_hosts = hosts_cluster[static_cast<size_t>(node)];
+          if (node_hosts != best_hosts) {
+            if (node_hosts) {
+              best_node = node;
+            }
+            continue;
+          }
+          if (node_load[static_cast<size_t>(node)] < node_load[static_cast<size_t>(best_node)]) {
+            best_node = node;
+          }
+        }
+        placement[models[member]->name()] = best_node;
+        node_load[static_cast<size_t>(best_node)] += demand[member];
+        node_count[static_cast<size_t>(best_node)] += 1;
+        hosts_cluster[static_cast<size_t>(best_node)] = true;
+      }
+    }
+    return placement;
   }
 
   int PlaceOne(const Model& model, const std::vector<const Model*>& peers,
@@ -199,7 +300,7 @@ class ModelSharingPolicy final : public PlacementPolicy {
     // to the fair-share cap. A later demand-driven rebalance runs the full
     // K-medoids solve and can revise this choice.
     const std::vector<size_t> counts = current.NodeFunctionCounts();
-    const size_t cap = IncrementalCap(current.size() + 1, num_nodes);
+    const size_t cap = FairShareCap(current.size() + 1, num_nodes);
     std::vector<double> node_affinity(static_cast<size_t>(num_nodes),
                                       std::numeric_limits<double>::infinity());
     for (const Model* peer : peers) {
@@ -228,6 +329,42 @@ class ModelSharingPolicy final : public PlacementPolicy {
       }
     }
     return best >= 0 ? best : LeastLoadedNode(counts);
+  }
+
+  // The combined distance gamma_d·D̂ + gamma_k·K̂ between every pair of
+  // `models` (see CombinedDistanceMatrix).
+  std::vector<std::vector<double>> DistanceMatrix(
+      const std::vector<const Model*>& models,
+      const std::map<std::string, DemandSeries>& history) const {
+    const size_t n = models.size();
+    std::vector<std::vector<double>> edit(n, std::vector<double>(n, 0.0));
+    double max_edit = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) {
+        const double d = Distance(*models[i], *models[j]);
+        edit[i][j] = edit[j][i] = d;
+        max_edit = std::max(max_edit, d);
+      }
+    }
+
+    std::vector<std::vector<double>> combined(n, std::vector<double>(n, 0.0));
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) {
+        const double normalized_edit = max_edit > 0.0 ? edit[i][j] / max_edit : 0.0;
+        double correlation = 0.0;
+        auto a = history.find(models[i]->name());
+        auto b = history.find(models[j]->name());
+        if (a != history.end() && b != history.end()) {
+          correlation = DemandCorrelation(a->second, b->second);
+        }
+        // Map correlation [-1, 1] -> [0, 1]; anti-correlated (complementary)
+        // demand yields a small distance.
+        const double normalized_corr = (correlation + 1.0) / 2.0;
+        combined[i][j] = combined[j][i] = options_.gamma_distance * normalized_edit +
+                                          options_.gamma_correlation * normalized_corr;
+      }
+    }
+    return combined;
   }
 
  private:
@@ -269,7 +406,7 @@ std::unique_ptr<PlacementPolicy> MakePlacementPolicy(const PlacementOptions& opt
     case BalancerKind::kHash:
       return std::make_unique<HashPolicy>();
     case BalancerKind::kLoadBased:
-      return std::make_unique<LoadBasedPolicy>(options);
+      return std::make_unique<LoadBasedPolicy>();
     case BalancerKind::kModelSharing:
       if (costs == nullptr) {
         throw std::invalid_argument("MakePlacementPolicy: model_sharing needs a cost model");
@@ -277,6 +414,12 @@ std::unique_ptr<PlacementPolicy> MakePlacementPolicy(const PlacementOptions& opt
       return std::make_unique<ModelSharingPolicy>(options, costs);
   }
   throw std::invalid_argument("MakePlacementPolicy: unknown balancer kind");
+}
+
+std::vector<std::vector<double>> CombinedDistanceMatrix(
+    const std::vector<const Model*>& models, const std::map<std::string, DemandSeries>& history,
+    const CostModel& costs, const PlacementOptions& options) {
+  return ModelSharingPolicy(options, &costs).DistanceMatrix(models, history);
 }
 
 DemandAccumulator::DemandAccumulator(size_t max_slots)

@@ -14,9 +14,11 @@
 // implementations mirror the paper's comparison set:
 //   * hash           — stateless hashing (existing platforms' default);
 //   * load_based     — spread expected demand evenly;
-//   * model_sharing  — the §5.1 K-medoids scheme over the combined distance
-//                      gamma_d·D̂ + gamma_k·K̂, delegating the full solve to
-//                      the offline solver in src/balancer.
+//   * model_sharing  — the §5.1 balancer: co-locate functions whose models
+//                      are structurally similar (small edit distance D) and
+//                      whose demand is complementary (low or negative
+//                      correlation K), by K-medoids (kmedoids.h) over the
+//                      combined distance gamma_d·D̂ + gamma_k·K̂.
 // Each policy answers both the batch question (`Compute`: place everything,
 // used by rebalances and the simulator) and the incremental one (`PlaceOne`:
 // slot a newly deployed function into an existing table without moving
@@ -33,7 +35,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/balancer/balancer.h"
 #include "src/common/sync.h"
 #include "src/graph/model.h"
 #include "src/runtime/cost_model.h"
@@ -41,27 +42,39 @@
 
 namespace optimus {
 
+// function name -> node index in [0, num_nodes).
+using Placement = std::map<std::string, int>;
+
+enum class BalancerKind : uint8_t {
+  kHash = 0,        // Stateless hashing (existing systems' default).
+  kLoadBased,       // Spread expected demand evenly (resource-usage based).
+  kModelSharing,    // The §5.1 similarity + complementarity K-medoids scheme.
+};
+
+// Human-facing names for tables and logs ("Hash" / "LoadBased" /
+// "ModelSharing").
+const char* BalancerKindName(BalancerKind kind);
+
 // Stable machine-readable ids for flags, /stats, and metric labels
-// ("hash" / "load_based" / "model_sharing"), next to the human-facing
-// BalancerKindName ("Hash" / "LoadBased" / "ModelSharing").
+// ("hash" / "load_based" / "model_sharing").
 const char* BalancerKindId(BalancerKind kind);
 
 // Parses either the id or the human-facing name; returns false (and leaves
 // *kind untouched) for unknown strings.
 bool ParseBalancerKind(const std::string& name, BalancerKind* kind);
 
-// Knobs for a placement policy. Field names deliberately match
-// BalancerOptions — the model-sharing policy forwards them to the offline
-// solver via ToBalancerOptions().
+// Knobs for a placement policy.
 struct PlacementOptions {
   BalancerKind kind = BalancerKind::kModelSharing;
+  // Combined-distance weights (the paper's gamma_i for D and gamma_j for K).
   double gamma_distance = 0.6;
   double gamma_correlation = 0.4;
+  // K-medoids granularity: the model-sharing policy forms
+  // clusters_per_node * num_nodes clusters, then bin-packs whole clusters
+  // onto nodes by expected demand. >1 keeps node load even when cluster
+  // sizes are skewed.
   int clusters_per_node = 2;
-  uint64_t seed = 1;
 };
-
-BalancerOptions ToBalancerOptions(const PlacementOptions& options);
 
 // An immutable snapshot of the function→node mapping. Instances are built
 // once, then only read; safe to share across threads without locks.
@@ -175,7 +188,8 @@ class PlacementPolicy {
 
   // Places every model onto `num_nodes` nodes from scratch (full rebalance /
   // simulator initialization). `history` feeds the demand-correlation and
-  // load terms; it may be empty.
+  // load terms; it may be empty. Throws std::invalid_argument when
+  // `num_nodes` < 1.
   virtual Placement Compute(const std::vector<const Model*>& models,
                             const std::map<std::string, DemandSeries>& history,
                             int num_nodes) const = 0;
@@ -191,6 +205,16 @@ class PlacementPolicy {
 // term and must outlive the policy (it may be null for kHash/kLoadBased).
 std::unique_ptr<PlacementPolicy> MakePlacementPolicy(const PlacementOptions& options,
                                                      const CostModel* costs);
+
+// The pairwise combined distance the model-sharing policy clusters — the
+// test seam for K-medoids' input. Each term is normalized to [0, 1] before
+// weighting: D is the symmetric edit distance min(D(a,b), D(b,a)), each
+// direction the group planner's transformation cost, over the largest pair;
+// K maps the demand correlation in `history` from [-1, 1] (a pair missing a
+// series counts as uncorrelated).
+std::vector<std::vector<double>> CombinedDistanceMatrix(
+    const std::vector<const Model*>& models, const std::map<std::string, DemandSeries>& history,
+    const CostModel& costs, const PlacementOptions& options);
 
 // Turns cumulative per-function invoke counts (harvested from the telemetry
 // registry) into the slotted DemandSeries the §5.1 correlation term consumes.

@@ -1,4 +1,4 @@
-#include "src/balancer/kmedoids.h"
+#include "src/placement/kmedoids.h"
 
 #include <gtest/gtest.h>
 
@@ -93,8 +93,8 @@ TEST(KMedoidsTest, Deterministic) {
     points.push_back(rng.Uniform(0.0, 10.0));
   }
   const auto distance = DistanceFromPoints(points);
-  const KMedoidsResult a = KMedoids(distance, 3, /*seed=*/1);
-  const KMedoidsResult b = KMedoids(distance, 3, /*seed=*/1);
+  const KMedoidsResult a = KMedoids(distance, 3);
+  const KMedoidsResult b = KMedoids(distance, 3);
   EXPECT_EQ(a.medoids, b.medoids);
   EXPECT_EQ(a.assignment, b.assignment);
 }

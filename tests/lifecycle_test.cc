@@ -397,6 +397,35 @@ TEST_F(PlatformLifecycleTest, RevokeFaultFailsRetryableAndRevokes) {
   EXPECT_TRUE(platform.TryInvoke(functions_[0], input_, 3.0, &result).ok());
 }
 
+// Churn re-solves read the demand history as it stands: a revoke and a
+// revive re-cluster twice but close no slot, so the warming forecaster never
+// reads them as quiet slots.
+TEST(ChurnDemandTest, ChurnClosesNoDemandSlot) {
+  AnalyticCostModel costs;
+  PlatformOptions options;
+  options.num_nodes = 2;
+  options.containers_per_node = 2;
+  options.warm_plan_cache = false;
+  options.warming.enabled = true;
+  options.warming.interval = 0.0;  // Cycles only via explicit WarmNow().
+  OptimusPlatform platform(&costs, options);
+  platform.Deploy("vgg11", TinyVgg(11));
+  const std::vector<float> input(8, 0.5f);
+  platform.Invoke("vgg11", input, 1.0);
+  platform.WarmNow(2.0);
+  platform.Invoke("vgg11", input, 3.0);
+  platform.WarmNow(4.0);
+  ASSERT_EQ(platform.placement().DemandSlots(), 2u);
+  const std::map<std::string, DemandSeries> history = platform.placement().DemandHistory();
+  const size_t rebalances = platform.placement().Rebalances();
+
+  ASSERT_TRUE(platform.RevokeNode(1, 0.0, 5.0));
+  ASSERT_TRUE(platform.ReviveNode(1));
+  EXPECT_EQ(platform.placement().DemandSlots(), 2u);
+  EXPECT_EQ(platform.placement().DemandHistory(), history);
+  EXPECT_EQ(platform.placement().Rebalances(), rebalances + 2);
+}
+
 // --- Gateway: tenant admission and shedding. --------------------------------
 
 class TenantGatewayTest : public testing::Test {

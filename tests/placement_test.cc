@@ -1,15 +1,17 @@
 // The placement subsystem (DESIGN.md §13): table/store semantics, the three
-// PlacementPolicy implementations, the demand accumulator, O(1) routing in
-// the live platform, concurrent table swaps, the placement.rebalance fault
-// point, and the end-to-end §5.1 claim that model sharing-aware placement
-// beats hashing — in the live platform and the simulator, through the same
-// policy implementations.
+// PlacementPolicy implementations and the §5.1 combined distance they
+// cluster, the demand accumulator, O(1) routing in the live platform, the
+// background demand rebalancer, concurrent table swaps, the
+// placement.rebalance fault point, and the end-to-end §5.1 claim that model
+// sharing-aware placement beats hashing — in the live platform and the
+// simulator, through the same policy implementations.
 
 #include "src/placement/placement.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "src/common/fault.h"
@@ -74,6 +76,12 @@ TEST(BalancerKindIdTest, RoundTripsIdsAndNames) {
   BalancerKind parsed = BalancerKind::kLoadBased;
   EXPECT_FALSE(ParseBalancerKind("quantum", &parsed));
   EXPECT_EQ(parsed, BalancerKind::kLoadBased);  // Untouched on failure.
+}
+
+TEST(BalancerKindIdTest, BalancerKindNames) {
+  EXPECT_STREQ(BalancerKindName(BalancerKind::kHash), "Hash");
+  EXPECT_STREQ(BalancerKindName(BalancerKind::kLoadBased), "LoadBased");
+  EXPECT_STREQ(BalancerKindName(BalancerKind::kModelSharing), "ModelSharing");
 }
 
 // --- DemandAccumulator --------------------------------------------------------
@@ -166,6 +174,138 @@ TEST(DemandAccumulatorTest, AbsentFunctionKeepsItsBaseline) {
 }
 
 // --- Policies -----------------------------------------------------------------
+
+// The §5.1 balancer's full solves, through MakePlacementPolicy(...)->Compute.
+class BalancerTest : public testing::Test {
+ protected:
+  static std::vector<const Model*> Pointers(const std::vector<Model>& models) {
+    std::vector<const Model*> pointers;
+    for (const Model& model : models) {
+      pointers.push_back(&model);
+    }
+    return pointers;
+  }
+
+  Placement Place(const std::vector<Model>& models, int num_nodes,
+                  const std::map<std::string, DemandSeries>& history,
+                  const PlacementOptions& options) {
+    return MakePlacementPolicy(options, &costs_)->Compute(Pointers(models), history, num_nodes);
+  }
+
+  std::vector<Model> SimilarAndDissimilarModels() {
+    // Two structural families: VGG-like and BERT-like.
+    std::vector<Model> models;
+    models.push_back(TinyVgg(11));
+    models.push_back(TinyVgg(16));
+    models.push_back(TinyVgg(19));
+    models.push_back(TinyBert(2, 64));
+    models.push_back(TinyBert(4, 128));
+    Model extra = TinyBert(2, 128);
+    models.push_back(extra);
+    return models;
+  }
+
+  AnalyticCostModel costs_;
+};
+
+TEST_F(BalancerTest, HashPlacementDeterministicAndInRange) {
+  const auto models = SimilarAndDissimilarModels();
+  PlacementOptions options;
+  options.kind = BalancerKind::kHash;
+  const Placement a = Place(models, 3, {}, options);
+  const Placement b = Place(models, 3, {}, options);
+  EXPECT_EQ(a, b);
+  for (const auto& [name, node] : a) {
+    EXPECT_GE(node, 0);
+    EXPECT_LT(node, 3);
+  }
+  EXPECT_EQ(a.size(), models.size());
+}
+
+TEST_F(BalancerTest, LoadBasedPlacementBalancesDemand) {
+  const auto models = SimilarAndDissimilarModels();
+  std::map<std::string, DemandSeries> history;
+  // One hot function, the rest cold.
+  history[models[0].name()] = {100.0, 100.0};
+  for (size_t i = 1; i < models.size(); ++i) {
+    history[models[i].name()] = {1.0, 1.0};
+  }
+  PlacementOptions options;
+  options.kind = BalancerKind::kLoadBased;
+  const Placement placement = Place(models, 2, history, options);
+  // The hot function gets a node; at most one cold one joins it while the
+  // other node takes the rest.
+  const int hot_node = placement.at(models[0].name());
+  int on_hot_node = 0;
+  for (const auto& [name, node] : placement) {
+    if (node == hot_node) {
+      ++on_hot_node;
+    }
+  }
+  EXPECT_LE(on_hot_node, 2);
+}
+
+TEST_F(BalancerTest, ModelSharingColocatesStructurallySimilarFunctions) {
+  const auto models = SimilarAndDissimilarModels();
+  PlacementOptions options;
+  options.kind = BalancerKind::kModelSharing;
+  options.gamma_distance = 1.0;
+  options.gamma_correlation = 0.0;  // Pure structural similarity.
+  options.clusters_per_node = 1;    // One cluster per node: pure K-medoids.
+  const Placement placement = Place(models, 2, {}, options);
+  // All VGG variants together, all BERT variants together, on distinct nodes.
+  EXPECT_EQ(placement.at(models[0].name()), placement.at(models[1].name()));
+  EXPECT_EQ(placement.at(models[1].name()), placement.at(models[2].name()));
+  EXPECT_EQ(placement.at(models[3].name()), placement.at(models[4].name()));
+  EXPECT_EQ(placement.at(models[4].name()), placement.at(models[5].name()));
+  EXPECT_NE(placement.at(models[0].name()), placement.at(models[3].name()));
+}
+
+TEST_F(BalancerTest, CorrelationTermSeparatesSynchronizedFunctions) {
+  // Two structurally identical pairs; within each pair demand is perfectly
+  // correlated, across pairs anti-correlated. With a correlation-only
+  // distance, the balancer splits the synchronized functions apart.
+  std::vector<Model> models;
+  for (int i = 0; i < 4; ++i) {
+    Model model = TinyVgg(11);
+    model.set_name("vgg_" + std::to_string(i));
+    models.push_back(model);
+  }
+  std::map<std::string, DemandSeries> history;
+  const DemandSeries day = {10.0, 0.0, 10.0, 0.0, 10.0, 0.0};
+  const DemandSeries night = {0.0, 10.0, 0.0, 10.0, 0.0, 10.0};
+  history["vgg_0"] = day;
+  history["vgg_1"] = day;
+  history["vgg_2"] = night;
+  history["vgg_3"] = night;
+  PlacementOptions options;
+  options.kind = BalancerKind::kModelSharing;
+  options.gamma_distance = 0.0;
+  options.gamma_correlation = 1.0;
+  options.clusters_per_node = 1;
+  const Placement placement = Place(models, 2, history, options);
+  // A perfectly synchronized pair is split apart, while a complementary
+  // (anti-correlated) pair shares a node.
+  EXPECT_NE(placement.at("vgg_0"), placement.at("vgg_1"));
+  EXPECT_EQ(placement.at("vgg_0"), placement.at("vgg_2"));
+}
+
+TEST_F(BalancerTest, CombinedDistanceMatrixProperties) {
+  const auto models = SimilarAndDissimilarModels();
+  PlacementOptions options;
+  const auto matrix = CombinedDistanceMatrix(Pointers(models), {}, costs_, options);
+  ASSERT_EQ(matrix.size(), models.size());
+  for (size_t i = 0; i < matrix.size(); ++i) {
+    EXPECT_EQ(matrix[i][i], 0.0);
+    for (size_t j = 0; j < matrix.size(); ++j) {
+      EXPECT_DOUBLE_EQ(matrix[i][j], matrix[j][i]);
+      EXPECT_GE(matrix[i][j], 0.0);
+      EXPECT_LE(matrix[i][j], options.gamma_distance + options.gamma_correlation + 1e-9);
+    }
+  }
+  // Same-family distance < cross-family distance.
+  EXPECT_LT(matrix[0][1], matrix[0][3]);
+}
 
 TEST(PlacementPolicyTest, HashPlaceOneMatchesBatchCompute) {
   const PlacementOptions options{BalancerKind::kHash};
@@ -346,6 +486,38 @@ TEST(PlacementManagerTest, PreviewPredictsLiveSubsetRebalance) {
   EXPECT_EQ(Placement(published->assignment().begin(), published->assignment().end()),
             predicted);
   EXPECT_EQ(published->NodeFunctionCounts()[kDead], 0u);
+}
+
+// --- Background demand rebalancer ---------------------------------------------
+
+// An invoke that closes a rebalance window wakes the background rebalancer
+// thread, which harvests one demand slot and publishes a "demand" rebalance;
+// an invoke inside the next window wakes nothing. Run under TSan in CI.
+TEST(PlacementRebalancerTest, DemandWindowWakesBackgroundRebalance) {
+  AnalyticCostModel costs;
+  PlatformOptions options;
+  options.num_nodes = 2;
+  options.rebalance_interval = 10.0;
+  options.placement.kind = BalancerKind::kHash;
+  OptimusPlatform platform(&costs, options);
+  platform.Deploy("vgg11", TinyVgg(11));
+  platform.Deploy("vgg13", TinyVgg(13));
+  const telemetry::Counter& demand_rebalances =
+      platform.metrics().GetCounter("optimus_rebalance_total", {{"reason", "demand"}});
+
+  const std::vector<float> input(8, 0.5f);
+  platform.Invoke("vgg11", input, 0.0);
+  platform.Invoke("vgg13", input, 10.0);  // Closes the first window.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((demand_rebalances.Value() < 1 || platform.placement().DemandSlots() < 1) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(demand_rebalances.Value(), 1u);
+  EXPECT_EQ(platform.placement().DemandSlots(), 1u);
+
+  platform.Invoke("vgg11", input, 15.0);  // Inside the next window (due at 20).
+  EXPECT_EQ(demand_rebalances.Value(), 1u);
 }
 
 // --- O(1) routing regression --------------------------------------------------
