@@ -88,8 +88,10 @@ int Run(bool smoke) {
     platform.Invoke("vgg11", input, 1.0);
     warm_invoke_seconds.Observe(NowSeconds() - start);
   }
+  // Each warm hit locks its node twice: to lease the container, and to
+  // return it.
   const uint64_t locks = platform.NodeLockAcquisitions() - locks_before;
-  if (locks != static_cast<uint64_t>(warm_invokes)) {
+  if (locks != 2 * static_cast<uint64_t>(warm_invokes)) {
     std::fprintf(stderr, "bench_placement: warm hits took %llu locks for %d invokes\n",
                  static_cast<unsigned long long>(locks), warm_invokes);
     return 1;

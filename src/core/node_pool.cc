@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "src/telemetry/trace.h"
+
 namespace optimus {
 
 const char* NodeLifecycleName(NodeLifecycle state) {
@@ -31,25 +33,40 @@ NodePool::NodePool(int num_nodes, int containers_per_node)
   }
 }
 
-NodePool::LockedNode NodePool::Lock(int node_index) NO_THREAD_SAFETY_ANALYSIS {
+NodePool::LockedNode NodePool::Lock(int node_index, uint64_t* wait_ns) NO_THREAD_SAFETY_ANALYSIS {
   Node* node = nodes_.at(static_cast<size_t>(node_index)).get();
-  node->mutex.Lock();  // Ownership transfers to the returned view.
+  if (wait_ns == nullptr) {
+    node->mutex.Lock();  // Ownership transfers to the returned view.
+  } else {
+    const uint64_t start_ns = telemetry::MonotonicNanos();
+    node->mutex.Lock();
+    *wait_ns += telemetry::MonotonicNanos() - start_ns;
+  }
   lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-  return LockedNode(node, node_index, capacity_per_node_);
+  return LockedNode(this, node, node_index, wait_ns);
 }
 
 RealContainer* NodePool::LockedNode::FindWarm(const std::string& function) {
   for (RealContainer& container : node_->containers) {
-    if (container.function == function) {
+    if (!container.Leased() && container.function == function) {
       return &container;
     }
   }
   return nullptr;
 }
 
+bool NodePool::LockedNode::Hosts(const std::string& function) const {
+  for (const RealContainer& container : node_->containers) {
+    if (container.function == function) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool NodePool::LockedNode::HasIdleContainer(double now, double idle_threshold) const {
   for (const RealContainer& container : node_->containers) {
-    if (now - container.last_active >= idle_threshold) {
+    if (!container.Leased() && now - container.last_active >= idle_threshold) {
       return true;
     }
   }
@@ -60,7 +77,7 @@ size_t NodePool::LockedNode::ReapExpired(double now, double keep_alive) {
   auto& containers = node_->containers;
   size_t prewarmed_waste = 0;
   for (auto it = containers.begin(); it != containers.end();) {
-    if (now - it->last_active >= keep_alive) {
+    if (!it->Leased() && now - it->last_active >= keep_alive) {
       if (it->prewarmed) {
         ++prewarmed_waste;  // A speculation that expired before any request.
       }
@@ -73,31 +90,35 @@ size_t NodePool::LockedNode::ReapExpired(double now, double keep_alive) {
   return prewarmed_waste;
 }
 
-void NodePool::LockedNode::RemoveById(ContainerId id) {
-  auto& containers = node_->containers;
-  for (auto it = containers.begin(); it != containers.end();) {
-    if (it->id == id) {
-      RecycleArena(std::move(it->instance.arena));
-      it = containers.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 bool NodePool::LockedNode::EvictLeastRecentlyActive() {
   auto& containers = node_->containers;
-  if (containers.empty()) {
-    return false;
+  auto victim = containers.end();
+  for (auto it = containers.begin(); it != containers.end(); ++it) {
+    if (!it->Leased() && (victim == containers.end() || it->last_active < victim->last_active)) {
+      victim = it;
+    }
   }
-  const auto victim = std::min_element(containers.begin(), containers.end(),
-                                       [](const RealContainer& a, const RealContainer& b) {
-                                         return a.last_active < b.last_active;
-                                       });
+  if (victim == containers.end()) {
+    return false;  // Every container is leased.
+  }
   const bool prewarmed_waste = victim->prewarmed;
   RecycleArena(std::move(victim->instance.arena));
   containers.erase(victim);
   return prewarmed_waste;
+}
+
+NodePool::ContainerLease NodePool::LockedNode::Lease(RealContainer* container,
+                                                     ContainerState state) {
+  container->state = state;
+  return ContainerLease(pool_, index_, container, wait_ns_);
+}
+
+void NodePool::LockedNode::WaitForReturn() {
+  const uint64_t start_ns = telemetry::MonotonicNanos();
+  node_->lease_ended.Wait(node_->mutex);
+  if (wait_ns_ != nullptr) {
+    *wait_ns_ += telemetry::MonotonicNanos() - start_ns;
+  }
 }
 
 std::shared_ptr<TensorArena> NodePool::LockedNode::AcquireArena() {
@@ -115,7 +136,8 @@ void NodePool::LockedNode::RecycleArena(std::shared_ptr<TensorArena> arena) {
   // A dead owner banks nothing: once the node is Down (or finalizing), its
   // spare pool is being reclaimed, so the arena is simply dropped rather than
   // leaked into a pool nobody will ever drain (DESIGN.md §16).
-  if (arena == nullptr || static_cast<int>(node_->spare_arenas.size()) >= capacity_ ||
+  if (arena == nullptr ||
+      static_cast<int>(node_->spare_arenas.size()) >= pool_->capacity_per_node_ ||
       node_->lifecycle.load(std::memory_order_acquire) == NodeLifecycle::kDown) {
     return;
   }
@@ -124,11 +146,55 @@ void NodePool::LockedNode::RecycleArena(std::shared_ptr<TensorArena> arena) {
 
 RealContainer* NodePool::LockedNode::Adopt(RealContainer&& container) {
   node_->containers.push_back(std::move(container));
-  // First container on a Reviving node: the node is warm again.
-  NodeLifecycle expected = NodeLifecycle::kReviving;
-  node_->lifecycle.compare_exchange_strong(expected, NodeLifecycle::kUp,
-                                           std::memory_order_acq_rel);
   return &node_->containers.back();
+}
+
+NodePool::ContainerLease& NodePool::ContainerLease::operator=(ContainerLease&& other) noexcept {
+  if (this != &other) {
+    if (container_ != nullptr) {
+      LockedNode node = Relock();
+      Return(node);
+    }
+    pool_ = other.pool_;
+    index_ = other.index_;
+    container_ = std::exchange(other.container_, nullptr);
+    wait_ns_ = other.wait_ns_;
+  }
+  return *this;
+}
+
+NodePool::ContainerLease::~ContainerLease() {
+  if (container_ != nullptr) {
+    LockedNode node = Relock();
+    Return(node);
+  }
+}
+
+NodePool::LockedNode NodePool::ContainerLease::Relock() { return pool_->Lock(index_, wait_ns_); }
+
+void NodePool::ContainerLease::Return(LockedNode& node) {
+  container_->state = ContainerState::kIdle;
+  if (container_->instance.Loaded()) {
+    // First loaded container on a Reviving node: the node is warm again.
+    NodeLifecycle expected = NodeLifecycle::kReviving;
+    node.node_->lifecycle.compare_exchange_strong(expected, NodeLifecycle::kUp,
+                                                  std::memory_order_acq_rel);
+  }
+  container_ = nullptr;
+  node.node_->lease_ended.NotifyAll();
+}
+
+void NodePool::ContainerLease::Discard(LockedNode& node) {
+  auto& containers = node.node_->containers;
+  for (auto it = containers.begin(); it != containers.end(); ++it) {
+    if (&*it == container_) {
+      node.RecycleArena(std::move(it->instance.arena));
+      containers.erase(it);
+      break;
+    }
+  }
+  container_ = nullptr;
+  node.node_->lease_ended.NotifyAll();
 }
 
 int NodePool::AcceptingNodes() const {
@@ -151,7 +217,7 @@ bool NodePool::RevokeNode(int node_index, double grace_seconds, double now) {
   }
   revocations_.fetch_add(1, std::memory_order_relaxed);
   if (grace_seconds <= 0.0) {
-    ReclaimLocked(node);
+    Reclaim(node);
     return true;
   }
   node->drain_deadline.store(now + grace_seconds, std::memory_order_release);
@@ -178,8 +244,8 @@ size_t NodePool::FinalizeExpiredDrains(double now) {
         now < node->drain_deadline.load(std::memory_order_acquire)) {
       continue;
     }
-    reclaimed += ReclaimLocked(node);
     draining_nodes_.fetch_sub(1, std::memory_order_relaxed);
+    reclaimed += Reclaim(node);
   }
   return reclaimed;
 }
@@ -188,6 +254,9 @@ bool NodePool::ReviveNode(int node_index) {
   Node* node = nodes_.at(static_cast<size_t>(node_index)).get();
   MutexLock lock(node->mutex);
   lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
+  while (node->reclaiming) {
+    node->lease_ended.Wait(node->mutex);
+  }
   if (node->lifecycle.load(std::memory_order_acquire) != NodeLifecycle::kDown) {
     return false;
   }
@@ -207,14 +276,23 @@ std::vector<NodeLifecycle> NodePool::LifecycleSnapshot() const {
   return snapshot;
 }
 
-size_t NodePool::ReclaimLocked(Node* node) {
+size_t NodePool::Reclaim(Node* node) {
+  node->lifecycle.store(NodeLifecycle::kDown, std::memory_order_release);
+  node->drain_deadline.store(std::numeric_limits<double>::infinity(),
+                             std::memory_order_release);
+  // In-flight requests finish on their leases; a Down node grants no new
+  // ones, so this wait ends.
+  node->reclaiming = true;
+  while (std::any_of(node->containers.begin(), node->containers.end(),
+                     [](const RealContainer& container) { return container.Leased(); })) {
+    node->lease_ended.Wait(node->mutex);
+  }
+  node->reclaiming = false;
   const size_t reclaimed = node->containers.size();
   node->containers.clear();
   node->spare_arenas.clear();
-  node->drain_deadline.store(std::numeric_limits<double>::infinity(),
-                             std::memory_order_release);
-  node->lifecycle.store(NodeLifecycle::kDown, std::memory_order_release);
   reclaimed_containers_.fetch_add(reclaimed, std::memory_order_relaxed);
+  node->lease_ended.NotifyAll();  // Wakes a ReviveNode waiting out the reclaim.
   return reclaimed;
 }
 

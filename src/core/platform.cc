@@ -79,6 +79,8 @@ OptimusPlatform::OptimusPlatform(const CostModel* costs, const PlatformOptions& 
                                                "Wall seconds spent per invoke-path phase")),
       inference_seconds_(metrics_.GetHistogram("optimus_phase_seconds", {{"phase", "inference"}},
                                                "Wall seconds spent per invoke-path phase")),
+      node_wait_seconds_(metrics_.GetHistogram("optimus_phase_seconds", {{"phase", "node_wait"}},
+                                               "Wall seconds spent per invoke-path phase")),
       warming_lead_seconds_(
           metrics_.GetHistogram("optimus_warming_lead_seconds", {},
                                 "Virtual seconds between a pre-warm and its first hit")) {
@@ -179,6 +181,12 @@ std::map<std::string, uint64_t> OptimusPlatform::InvokeTotals() const {
 }
 
 bool OptimusPlatform::RebalanceNow(const std::string& reason) {
+  // With warming on, warming cycles alone close demand slots: a rebalance
+  // between two cycles would otherwise record a short slot the forecaster
+  // reads as a quiet interval.
+  if (warming_engine_->enabled()) {
+    return ResolvePlacement(reason);
+  }
   // Harvest the demand signal: the per-function invoke histograms' cumulative
   // counts in the telemetry registry. The accumulator turns successive
   // harvests into slotted demand series for the §5.1 correlation term.
@@ -285,65 +293,68 @@ bool OptimusPlatform::ExecutePrewarmOrder(const WarmingOrder& order, double now)
     warming_skipped_.Inc();  // Planned against a table that has since drained.
     return false;
   }
+  // Like a request, the order leases its container and does the model work
+  // with the node unlocked, so speculation never stalls the node's traffic.
+  NodePool::ContainerLease lease;  // Before `node`: its destructor re-locks.
   NodePool::LockedNode node = pool_->Lock(order.node);
   if (!node.Servable(now)) {
     warming_skipped_.Inc();
     return false;
   }
   ReapNode(node, now);
-  if (node.FindWarm(order.function) != nullptr) {
-    warming_skipped_.Inc();  // The forecast demand is already warm here.
+  if (node.Hosts(order.function)) {
+    warming_skipped_.Inc();  // The forecast demand is already warm (or warming) here.
     return false;
   }
-  if (!node.Full()) {
+  const bool from_scratch = !node.Full();
+  std::shared_ptr<TensorArena> arena;
+  if (from_scratch) {
     // Free slot: speculative scratch load into a fresh container.
     RealContainer container;
     container.id = pool_->AllocateId();
     container.function = order.function;
-    try {
-      container.instance = loader_.Instantiate(model, /*weight_seed=*/1, /*breakdown=*/nullptr,
-                                               /*trace=*/nullptr, node.AcquireArena());
-    } catch (const std::exception&) {
-      warming_failures_.Inc();
+    container.last_active = now;
+    arena = node.AcquireArena();
+    lease = node.Lease(node.Adopt(std::move(container)), ContainerState::kStarting);
+  } else {
+    // Full node: pre-transform the cheapest sufficiently-idle donor via the
+    // cached plan. Speculation never evicts — a full node with no idle donor
+    // means its capacity is earning its keep, so the order is dropped.
+    RealContainer* donor = PickDonor(node, model, entry->costs.scratch_load, now);
+    if (donor == nullptr) {
+      warming_skipped_.Inc();
       return false;
     }
-    container.prewarmed = true;
-    container.prewarmed_at = now;
-    container.last_active = now;
-    node.Adopt(std::move(container));
-    warming_prewarms_cold_.Inc();
-    return true;
-  }
-  // Full node: pre-transform the cheapest sufficiently-idle donor via the
-  // cached plan. Speculation never evicts — a full node with no idle donor
-  // means its capacity is earning its keep, so the order is dropped.
-  RealContainer* best_donor = PickDonor(node, model, entry->costs.scratch_load, now);
-  if (best_donor == nullptr) {
-    warming_skipped_.Inc();
-    return false;
-  }
-  const bool donor_was_prewarmed = best_donor->prewarmed;
-  try {
-    transformer_->TransformOrLoad(&best_donor->instance, model);
-  } catch (const std::exception&) {
-    // Transactional like the reactive path: the half-mutated donor is
-    // destroyed. Charged to the warming bucket, not transform_failures_, so
-    // reactive accounting stays reconcilable.
-    warming_failures_.Inc();
-    if (donor_was_prewarmed) {
-      warming_waste_.Inc();  // The consumed speculation never served.
+    if (donor->prewarmed) {
+      donor->prewarmed = false;
+      warming_waste_.Inc();  // Repurposed before it ever served a request.
     }
-    node.RemoveById(best_donor->id);
+    donor->function = order.function;
+    donor->last_active = now;
+    lease = node.Lease(donor, ContainerState::kStarting);
+  }
+  node.Release();
+  try {
+    if (from_scratch) {
+      lease->instance = loader_.Instantiate(model, /*weight_seed=*/1, /*breakdown=*/nullptr,
+                                            /*trace=*/nullptr, std::move(arena));
+    } else {
+      transformer_->TransformOrLoad(&lease->instance, model);
+    }
+  } catch (const std::exception&) {
+    // Transactional like the reactive path: the half-mutated donor (or the
+    // empty placeholder) is destroyed. Charged to the warming bucket, not
+    // transform_failures_, so reactive accounting stays reconcilable.
+    warming_failures_.Inc();
+    node = lease.Relock();
+    lease.Discard(node);
     return false;
   }
-  if (donor_was_prewarmed) {
-    warming_waste_.Inc();  // Repurposed before it ever served a request.
-  }
-  best_donor->function = order.function;
-  best_donor->prewarmed = true;
-  best_donor->prewarmed_at = now;
-  best_donor->last_active = now;
-  warming_prewarms_transform_.Inc();
+  node = lease.Relock();
+  lease->prewarmed = true;
+  lease->prewarmed_at = now;
+  (from_scratch ? warming_prewarms_cold_ : warming_prewarms_transform_).Inc();
+  lease.Return(node);
   return true;
 }
 
@@ -353,7 +364,7 @@ RealContainer* OptimusPlatform::PickDonor(NodePool::LockedNode& node, const Mode
   RealContainer* best_donor = nullptr;
   double best_cost = 0.0;
   for (RealContainer& container : node.containers()) {
-    if (now - container.last_active < options_.idle_threshold) {
+    if (container.Leased() || now - container.last_active < options_.idle_threshold) {
       continue;
     }
     try {
@@ -370,6 +381,16 @@ RealContainer* OptimusPlatform::PickDonor(NodePool::LockedNode& node, const Mode
     }
   }
   return best_donor;
+}
+
+size_t OptimusPlatform::LeasedContainers() const {
+  size_t leased = 0;
+  pool_->ForEachContainer([&leased](int, const RealContainer& container) {
+    if (container.Leased()) {
+      ++leased;
+    }
+  });
+  return leased;
 }
 
 size_t OptimusPlatform::PrewarmedContainers() const {
@@ -456,6 +477,31 @@ int OptimusPlatform::RouteAccepting(const std::string& function) {
     }
   }
   return primary;  // Total outage; the Servable check fails the request.
+}
+
+NodePool::LockedNode OptimusPlatform::ProbeNeighbors(int primary, const std::string& function,
+                                                     double now, uint64_t* wait_ns) {
+  // Probe at most `breadth` *distinct* accepting neighbors. The walk is
+  // bounded by one full ring (step < num_nodes) so a breadth larger than the
+  // pool can never revisit a node on small pools, and the primary and
+  // non-accepting (draining/down) nodes never consume probe budget.
+  const int breadth = std::min(options_.route_fallback_breadth, pool_->num_nodes() - 1);
+  int probed = 0;
+  for (int step = 1; step < pool_->num_nodes() && probed < breadth; ++step) {
+    const int neighbor = (primary + step) % pool_->num_nodes();
+    if (!pool_->Accepting(neighbor)) {
+      continue;
+    }
+    ++probed;
+    NodePool::LockedNode alt = pool_->Lock(neighbor, wait_ns);
+    ReapNode(alt, now);
+    if (alt.FindWarm(function) != nullptr || !alt.Full()) {
+      return alt;
+    }
+  }
+  // Every neighbor is saturated too: back to the primary, whose state may
+  // have moved on meanwhile, including a racing revocation.
+  return pool_->Lock(primary, wait_ns);
 }
 
 void OptimusPlatform::FinalizeDrains(double now) {
@@ -574,6 +620,12 @@ std::vector<std::string> OptimusPlatform::CheckContainerIntegrity() const {
   pool_->ForEachContainer([&violations](int node, const RealContainer& container) {
     const std::string where = "node " + std::to_string(node) + " container " +
                               std::to_string(container.id) + " (" + container.function + "): ";
+    if (container.Leased()) {
+      // At a quiet point no lease is outstanding; one that is leaked. Its
+      // instance belongs to the lease holder, so it is not read here.
+      violations.push_back(where + "still leased");
+      return;
+    }
     if (!container.instance.Loaded()) {
       violations.push_back(where + "no resident model");
       return;
@@ -650,7 +702,6 @@ InvokeResult OptimusPlatform::InvokeInternal(const std::string& function,
   // that node is locked. No per-node scanning happens on this path.
   InvokeResult result;
   const int primary = RouteAccepting(function);
-  result.node = primary;
 
   // Injected spot revocation (DESIGN.md §16): the routed node vanishes with
   // zero grace mid-request. The request fails retryably — the gateway's retry
@@ -661,166 +712,162 @@ InvokeResult OptimusPlatform::InvokeInternal(const std::string& function,
                        "Invoke: node " + std::to_string(primary) + " revoked mid-request");
   }
 
-  NodePool::LockedNode node = pool_->Lock(primary);
-  if (!node.Servable(now)) {
-    // Routed into the revocation race window (or a total outage): the node
-    // went Down / past its grace deadline between routing and locking.
-    throw OptimusError(ErrorCode::kUnavailable,
-                       "Invoke: node " + std::to_string(primary) + " is " +
-                           NodeLifecycleName(node.lifecycle()) + " (revoked)");
-  }
-  ReapNode(node, now);
-
-  // Warm start: an idle container already holding this function's model.
-  RealContainer* chosen = node.FindWarm(function);
-  if (chosen != nullptr) {
-    result.start = StartType::kWarm;
-    result.estimated_latency = model_costs.inference;
-  }
-
-  // Capacity pressure — the primary is full and offers no sufficiently-idle
-  // transform donor — is the only case that leaves the primary: probe up to
-  // route_fallback_breadth neighbors (one lock at a time) for a warm
-  // container or a free slot before evicting busy state on the primary.
-  if (chosen == nullptr && node.Full() &&
-      !node.HasIdleContainer(now, options_.idle_threshold) &&
-      options_.route_fallback_breadth > 0 && pool_->num_nodes() > 1) {
-    node.Release();
-    bool adopted = false;
-    // Probe at most `breadth` *distinct* accepting neighbors. The walk is
-    // bounded by one full ring (step < num_nodes) so a breadth larger than
-    // the pool can never revisit a node on small pools, and the primary and
-    // non-accepting (draining/down) nodes never consume probe budget.
-    const int breadth = std::min(options_.route_fallback_breadth, pool_->num_nodes() - 1);
-    int probed = 0;
-    for (int step = 1; step < pool_->num_nodes() && probed < breadth && !adopted; ++step) {
-      const int neighbor = (primary + step) % pool_->num_nodes();
-      if (!pool_->Accepting(neighbor)) {
-        continue;
-      }
-      ++probed;
-      NodePool::LockedNode alt = pool_->Lock(neighbor);
-      ReapNode(alt, now);
-      if (RealContainer* warm = alt.FindWarm(function); warm != nullptr) {
-        chosen = warm;
-        result.start = StartType::kWarm;
-        result.estimated_latency = model_costs.inference;
-        node = std::move(alt);
-        result.node = neighbor;
-        adopted = true;
-      } else if (!alt.Full()) {
-        node = std::move(alt);  // Cold-start into the neighbor's free slot.
-        result.node = neighbor;
-        adopted = true;
-      }
+  // Lease a container under the node lock by the start rules below, then do
+  // the model work on it with the lock dropped (DESIGN.md §9). Every pass of
+  // the loop re-checks the node from the top: a request that waited for a
+  // lease to end, moved to a neighbor, or lost its donor sees the node as it
+  // is now. `node_wait_ns` sums the time blocked on node locks and lease
+  // returns.
+  uint64_t node_wait_ns = 0;
+  NodePool::ContainerLease lease;  // Before `node`: its destructor re-locks.
+  NodePool::LockedNode node = pool_->Lock(primary, &node_wait_ns);
+  bool probed = false;            // The capacity-pressure probe runs once.
+  bool transform_failed = false;  // A failed transform falls through to cold.
+  while (!lease) {
+    if (!node.Servable(now)) {
+      // Routed into the revocation race window (or a total outage): the node
+      // went Down / past its grace deadline between routing and locking.
+      throw OptimusError(ErrorCode::kUnavailable,
+                         "Invoke: node " + std::to_string(node.index()) + " is " +
+                             NodeLifecycleName(node.lifecycle()) + " (revoked)");
     }
-    if (!adopted) {
-      // Every neighbor is saturated too: fall back to the primary's eviction
-      // path. Re-examine under the fresh lock — state may have moved on,
-      // including a racing revocation (never adopt into a dead node).
-      node = pool_->Lock(primary);
-      if (!node.Servable(now)) {
-        throw OptimusError(ErrorCode::kUnavailable,
-                           "Invoke: node " + std::to_string(primary) + " is " +
-                               NodeLifecycleName(node.lifecycle()) + " (revoked)");
-      }
-      ReapNode(node, now);
-      result.node = primary;
-      chosen = node.FindWarm(function);
-      if (chosen != nullptr) {
-        result.start = StartType::kWarm;
-        result.estimated_latency = model_costs.inference;
-      }
-    }
-  }
+    ReapNode(node, now);
 
-  // Transformation: repurpose the best sufficiently-idle donor (only when the
-  // node has no free slot; otherwise a fresh container preserves warm state).
-  if (chosen == nullptr && node.Full()) {
-    RealContainer* best_donor = nullptr;
-    {
-      telemetry::ScopedSpan decide_span(trace, "decide", "platform");
-      const uint64_t decide_start_ns = telemetry::MonotonicNanos();
-      best_donor = PickDonor(node, model, model_costs.scratch_load, now, trace);
-      decide_seconds_.Observe(
-          static_cast<double>(telemetry::MonotonicNanos() - decide_start_ns) * 1e-9);
-    }
-    if (best_donor != nullptr) {
-      // A pre-warmed donor consumed reactively (success or failure) is a
-      // speculation that never served its own function: waste either way.
-      if (best_donor->prewarmed) {
-        best_donor->prewarmed = false;
-        warming_waste_.Inc();
+    // Warm start: an idle container already holding this function's model.
+    if (RealContainer* warm = node.FindWarm(function); warm != nullptr) {
+      if (warm->prewarmed) {
+        // Forecast hit: a speculatively prepared container absorbs what would
+        // otherwise have been a cold start or transform.
+        warm->prewarmed = false;
+        warming_hits_.Inc();
+        warming_lead_seconds_.Observe(std::max(0.0, now - warm->prewarmed_at));
       }
-      try {
-        const uint64_t transform_start_ns = telemetry::MonotonicNanos();
-        const TransformOutcome outcome =
-            transformer_->TransformOrLoad(&best_donor->instance, model, trace);
-        if (outcome.decision.use_transform) {
-          transform_seconds_.Observe(
-              static_cast<double>(telemetry::MonotonicNanos() - transform_start_ns) * 1e-9);
+      warm->last_active = now;
+      lease = node.Lease(warm, ContainerState::kBusy);
+      result.start = StartType::kWarm;
+      result.estimated_latency = model_costs.inference;
+      break;
+    }
+    // The function's container is leased (serving, or being loaded,
+    // transformed or pre-warmed): wait for it rather than start a copy.
+    if (node.Hosts(function)) {
+      node.WaitForReturn();
+      continue;
+    }
+
+    // Capacity pressure — the node is full and offers no sufficiently-idle
+    // transform donor — is the only case that leaves the primary: probe up to
+    // route_fallback_breadth neighbors (one lock at a time) for a warm
+    // container or a free slot before evicting on the primary.
+    if (!probed && node.Full() && !node.HasIdleContainer(now, options_.idle_threshold) &&
+        options_.route_fallback_breadth > 0 && pool_->num_nodes() > 1) {
+      probed = true;
+      node.Release();
+      node = ProbeNeighbors(primary, function, now, &node_wait_ns);
+      continue;
+    }
+
+    // Transformation: repurpose the best sufficiently-idle donor (only when the
+    // node has no free slot; otherwise a fresh container preserves warm state).
+    if (node.Full() && !transform_failed) {
+      RealContainer* donor = nullptr;
+      {
+        telemetry::ScopedSpan decide_span(trace, "decide", "platform");
+        const uint64_t decide_start_ns = telemetry::MonotonicNanos();
+        donor = PickDonor(node, model, model_costs.scratch_load, now, trace);
+        decide_seconds_.Observe(
+            static_cast<double>(telemetry::MonotonicNanos() - decide_start_ns) * 1e-9);
+      }
+      if (donor != nullptr) {
+        // A pre-warmed donor consumed reactively (success or failure) is a
+        // speculation that never served its own function: waste either way.
+        if (donor->prewarmed) {
+          donor->prewarmed = false;
+          warming_waste_.Inc();
         }
-        result.start = outcome.decision.use_transform ? StartType::kTransform : StartType::kCold;
-        result.donor_function = best_donor->function;
-        result.estimated_latency = outcome.decision.ChosenCost() + model_costs.inference;
-        best_donor->function = function;
-        chosen = best_donor;
-      } catch (const std::exception&) {
-        // Transactional transformation: the donor's resident model may be
-        // half-mutated, so the container is destroyed and the request falls
-        // through to a fresh scratch (cold) load. The transformer already
-        // charged the failure to the plan-cache quarantine.
-        transform_failures_.Inc();
-        node.RemoveById(best_donor->id);
-        result.transform_fallback = true;
+        const std::string donor_function = donor->function;
+        donor->function = function;  // Same-function requests now wait for it.
+        donor->last_active = now;
+        lease = node.Lease(donor, ContainerState::kStarting);
+        node.Release();
+        try {
+          const uint64_t transform_start_ns = telemetry::MonotonicNanos();
+          const TransformOutcome outcome =
+              transformer_->TransformOrLoad(&lease->instance, model, trace);
+          if (outcome.decision.use_transform) {
+            transform_seconds_.Observe(
+                static_cast<double>(telemetry::MonotonicNanos() - transform_start_ns) * 1e-9);
+          }
+          result.start = outcome.decision.use_transform ? StartType::kTransform : StartType::kCold;
+          result.donor_function = donor_function;
+          result.estimated_latency = outcome.decision.ChosenCost() + model_costs.inference;
+        } catch (const std::exception&) {
+          // Transactional transformation: the donor's resident model may be
+          // half-mutated, so the container is destroyed and the request falls
+          // through to a fresh scratch (cold) load. The transformer already
+          // charged the failure to the plan-cache quarantine.
+          transform_failures_.Inc();
+          transform_failed = true;
+          node = lease.Relock();
+          lease.Discard(node);
+          continue;
+        }
+        break;
       }
     }
-  }
 
-  // Cold start: fresh container (using a free slot — destroying a poisoned
-  // donor frees one — or evicting the least-recently-active container on a
-  // full node with no eligible donor).
-  if (chosen == nullptr) {
+    // Cold start: fresh container (using a free slot — destroying a poisoned
+    // donor frees one — or evicting the least-recently-active container on a
+    // full node with no eligible donor). A node whose every container is
+    // leased has nothing to evict, so the request waits for a return.
     if (node.Full()) {
       if (node.EvictLeastRecentlyActive()) {
         warming_waste_.Inc();  // The LRU victim was an unused speculation.
+      }
+      if (node.Full()) {
+        node.WaitForReturn();
+        continue;
       }
     }
     RealContainer container;
     container.id = pool_->AllocateId();
     container.function = function;
+    container.last_active = now;
+    // The weight arena comes from the node's spare pool (recycled from dead
+    // containers) so steady-state churn reuses slabs instead of allocating.
+    std::shared_ptr<TensorArena> arena = node.AcquireArena();
+    lease = node.Lease(node.Adopt(std::move(container)), ContainerState::kStarting);
+    node.Release();
     try {
-      // The weight arena comes from the node's spare pool (recycled from dead
-      // containers) so steady-state churn reuses slabs instead of allocating.
-      container.instance = loader_.Instantiate(model, /*weight_seed=*/1, /*breakdown=*/nullptr,
-                                               trace, node.AcquireArena());
+      lease->instance = loader_.Instantiate(model, /*weight_seed=*/1, /*breakdown=*/nullptr,
+                                            trace, std::move(arena));
     } catch (const std::exception& error) {
+      node = lease.Relock();
+      lease.Discard(node);
       // The scratch load is the path of last resort; classify its failure as
       // retryable — nothing about the request itself is wrong.
       throw OptimusError(ErrorCode::kUnavailable,
                          std::string("Invoke: scratch load failed: ") + error.what());
     }
     result.start = StartType::kCold;
+    result.transform_fallback = transform_failed;
     result.estimated_latency =
         SystemProfile::Cpu().InitCost() + model_costs.scratch_load + model_costs.inference;
-    chosen = node.Adopt(std::move(container));
   }
+  node.Release();
+  result.node = node.index();
 
-  if (chosen->prewarmed) {
-    // Forecast hit: a speculatively prepared container absorbs what would
-    // otherwise have been a cold start or transform.
-    chosen->prewarmed = false;
-    warming_hits_.Inc();
-    warming_lead_seconds_.Observe(std::max(0.0, now - chosen->prewarmed_at));
-  }
-  chosen->last_active = now;
   {
     telemetry::ScopedSpan inference_span(trace, "inference", "inference");
     const uint64_t inference_start_ns = telemetry::MonotonicNanos();
-    result.output = RunInference(chosen->instance, input);
+    result.output = RunInference(lease->instance, input);
     inference_seconds_.Observe(
         static_cast<double>(telemetry::MonotonicNanos() - inference_start_ns) * 1e-9);
   }
+  node = lease.Relock();
+  lease.Return(node);
+  node.Release();
+  node_wait_seconds_.Observe(static_cast<double>(node_wait_ns) * 1e-9);
 
   // Count successes only after inference produced output, so the start-type
   // counters reconcile exactly with successful requests.

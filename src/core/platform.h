@@ -57,7 +57,10 @@
 //     plain `const Model&` references remain valid outside the lock.
 //   * each NodePool node carries its own mutex guarding that node's container
 //     state; invocations routed to different nodes never contend, and the
-//     invoke path holds at most one node lock at a time.
+//     invoke path holds at most one node lock at a time. The lock is held
+//     only to pick a container and lease it: transform, scratch load and
+//     inference run on the leased container with the lock dropped, so one
+//     node serves as many requests at once as it has containers.
 //   * the placement table is read lock-free (atomic shared_ptr acquire) and
 //     swapped wholesale; readers see the old or the new table, never a torn
 //     one (DESIGN.md §13).
@@ -234,7 +237,8 @@ class OptimusPlatform {
   // serving table without swapping snapshots (POST /rebalance?dry_run=1).
   PlacementDiff PreviewRebalance();
   // Node-lock acquisitions so far (see NodePool::LockAcquisitions) — lets
-  // tests pin the O(1)-routing claim: a warm hit takes exactly one.
+  // tests pin the O(1)-routing claim: a warm hit takes exactly two, one to
+  // lease its container and one to return it.
   uint64_t NodeLockAcquisitions() const { return pool_->LockAcquisitions(); }
 
   // Forecast-driven warming (DESIGN.md §17). The engine is always
@@ -251,6 +255,8 @@ class OptimusPlatform {
   size_t WarmNow(double now);
   // Live containers currently pre-warmed and not yet hit.
   size_t PrewarmedContainers() const;
+  // Containers currently leased to a request or a pre-warm (DESIGN.md §9).
+  size_t LeasedContainers() const;
   std::string WarmingStatsJson() const;
 
   // Node lifecycle & churn (DESIGN.md §16). RevokeNode models a spot
@@ -279,10 +285,12 @@ class OptimusPlatform {
   const telemetry::MetricsRegistry& metrics() const { return metrics_; }
   telemetry::TraceCollector& traces() { return traces_; }
 
-  // Debug/chaos introspection: validates every live container (resident model
-  // loaded, structurally valid, and named after the container's function) and
-  // returns one human-readable line per violation. A healthy platform — in
-  // particular one that has absorbed transformation failures — returns empty.
+  // Debug/chaos introspection: validates every live container (not leased,
+  // resident model loaded, structurally valid, and named after the
+  // container's function) and returns one human-readable line per violation.
+  // A healthy platform — in particular one that has absorbed transformation
+  // failures — returns empty. Call it only at a quiet point, with no invoke or
+  // warming cycle in flight: a lease outstanding then is a leaked one.
   std::vector<std::string> CheckContainerIntegrity() const;
 
  private:
@@ -306,6 +314,12 @@ class OptimusPlatform {
   // it is accepting routes, otherwise a deterministic probe over accepting
   // nodes (counted in optimus_rerouted_invokes_total).
   int RouteAccepting(const std::string& function);
+  // The capacity-pressure fallback: the first of up to route_fallback_breadth
+  // accepting neighbors of `primary` with an idle container of `function` or
+  // a free slot, locked, or else `primary` re-locked. Takes one lock at a
+  // time; the caller has released the primary.
+  NodePool::LockedNode ProbeNeighbors(int primary, const std::string& function, double now,
+                                      uint64_t* wait_ns);
   // Lazily finalizes expired drains (cheap no-op when nothing is draining).
   void FinalizeDrains(double now);
   // ReapExpired on a locked node, charging reaped never-hit pre-warmed
@@ -409,6 +423,8 @@ class OptimusPlatform {
   telemetry::Histogram& decide_seconds_;
   telemetry::Histogram& transform_seconds_;
   telemetry::Histogram& inference_seconds_;
+  // Time an invoke spent blocked on node locks and lease returns.
+  telemetry::Histogram& node_wait_seconds_;
   // Virtual seconds between a speculative prepare and its first warm hit.
   telemetry::Histogram& warming_lead_seconds_;
 };

@@ -6,6 +6,7 @@
 
 #include "src/tensor/arena.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <vector>
@@ -262,12 +263,10 @@ TEST(SimdTest, CopyFloatsMatchesMemcpyAcrossGate) {
     src.FillRandom(&rng);
     Tensor dst = Tensor::Uninitialized(Shape({count}), &arena);
     simd::CopyFloats(dst.data(), src.data(), count);
-    EXPECT_EQ(std::vector<float>(dst.data(), dst.data() + count),
-              std::vector<float>(src.data(), src.data() + count))
+    EXPECT_TRUE(std::equal(dst.data(), dst.data() + count, src.data()))
         << "aligned copy, count=" << count;
     simd::CopyFloats(dst.data(), src.data() + 1, count);  // Misaligned source.
-    EXPECT_EQ(std::vector<float>(dst.data(), dst.data() + count),
-              std::vector<float>(src.data() + 1, src.data() + 1 + count))
+    EXPECT_TRUE(std::equal(dst.data(), dst.data() + count, src.data() + 1))
         << "unaligned copy, count=" << count;
   }
 }

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -365,6 +366,68 @@ TEST(ConcurrencyPlatformTest, InvokeDuringDeployServesBothFunctions) {
                    .output.empty());
   EXPECT_EQ(platform.WarmStarts() + platform.Transforms() + platform.ColdStarts(),
             served.load() + 1);
+}
+
+// Leases under churn (DESIGN.md §9, §16): four invokers over four functions on
+// 2 nodes × 2 containers, each round 2 s of virtual time apart so every
+// container is past idle_threshold and warm hits, transforms, evictions and
+// cold starts overlap on one node, while another thread revokes node 1 with
+// zero grace and revives it. Every success is counted once and returns the
+// scratch reference output, and no lease is left outstanding.
+TEST(ConcurrencyPlatformTest, LeasesUnderChurn) {
+  AnalyticCostModel costs;
+  PlatformOptions options = StressOptions();
+  options.idle_threshold = 1.0;
+  OptimusPlatform platform(&costs, options);
+  const std::vector<std::string> functions = {"vgg11", "vgg13", "mobilenet", "resnet18"};
+  platform.Deploy("vgg11", TinyVgg(11));
+  platform.Deploy("vgg13", TinyVgg(13));
+  platform.Deploy("mobilenet", TinyMobileNet());
+  platform.Deploy("resnet18", TinyResNet(18));
+  const std::vector<float> input(8, 0.5f);
+  std::map<std::string, std::vector<float>> reference;
+  for (const std::string& function : functions) {
+    reference[function] = platform.Invoke(function, input, 0.0).output;
+  }
+  const size_t served_before = functions.size();
+
+  constexpr int kInvokers = 4;
+  constexpr int kRounds = 12;
+  std::atomic<size_t> served{0};
+  std::vector<std::thread> invokers;
+  for (int t = 0; t < kInvokers; ++t) {
+    invokers.emplace_back([&, t] {
+      for (int round = 1; round <= kRounds; ++round) {
+        const std::string& function =
+            functions[static_cast<size_t>(t + round) % functions.size()];
+        InvokeResult result;
+        const Status status = platform.TryInvoke(function, input, 2.0 * round, &result);
+        if (status.ok()) {
+          served.fetch_add(1);
+          EXPECT_EQ(result.output, reference.at(function)) << function;
+        } else {
+          EXPECT_EQ(status.code(), ErrorCode::kUnavailable) << status.message();
+        }
+      }
+    });
+  }
+  std::thread churn([&] {
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      platform.RevokeNode(1, 0.0, 0.0);
+      std::this_thread::yield();
+      platform.ReviveNode(1);
+    }
+  });
+  for (std::thread& invoker : invokers) {
+    invoker.join();
+  }
+  churn.join();
+
+  const PlatformCounters counters = platform.counters();
+  EXPECT_EQ(counters.warm_starts + counters.transforms + counters.cold_starts,
+            served.load() + served_before);
+  EXPECT_TRUE(platform.CheckContainerIntegrity().empty());
+  EXPECT_EQ(platform.LeasedContainers(), 0u);
 }
 
 // --- HTTP gateway -------------------------------------------------------------

@@ -242,6 +242,9 @@ TEST_F(GatewayServiceTest, ConcurrentSameFunctionInvokesAllServedWarm) {
               reference.body.substr(reference.body.find("output=")));
   }
   EXPECT_EQ(service_.platform().WarmStarts(), warm_before + kThreads);
+  // The node had a free slot, yet requests that found the one container
+  // leased waited for it rather than cold-start a second copy.
+  EXPECT_EQ(service_.platform().NumLiveContainers(), 1u);
 }
 
 TEST(GatewaySocketTest, EndToEndOverLoopback) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <set>
 #include <string>
@@ -379,6 +380,41 @@ TEST_F(PlatformLifecycleTest, FallbackRingNeverRevisitsNodesOnSmallPools) {
   }
 }
 
+// A zero-grace revoke marks the node Down at once, then waits for its
+// outstanding leases: a scratch load in flight on the node completes and
+// succeeds, and only then is its container reclaimed.
+TEST_F(PlatformLifecycleTest, ZeroGraceRevokeWaitsForOutstandingLease) {
+  OptimusPlatform platform(&costs_, Options(2));
+  platform.Deploy("resnet", TinyResNet(50));  // A scratch load of tens of ms.
+  const int node = platform.placement().Route("resnet");
+  const size_t reclaimed_before = platform.counters().reclaimed_containers;
+
+  InvokeResult result;
+  Status status;
+  std::atomic<bool> served{false};
+  std::thread cold([&] {
+    status = platform.TryInvoke("resnet", input_, 1.0, &result);
+    served.store(true);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (platform.LeasedContainers() != 1 && !served.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_FALSE(served.load()) << "the scratch load finished before the revoke";
+  std::thread revoker([&] { EXPECT_TRUE(platform.RevokeNode(node, 0.0, 1.0)); });
+  revoker.join();
+  cold.join();
+
+  ASSERT_TRUE(status.ok()) << status.message();
+  EXPECT_EQ(result.start, StartType::kCold);
+  EXPECT_EQ(result.node, node);
+  EXPECT_EQ(platform.NodeState(node), NodeLifecycle::kDown);
+  EXPECT_EQ(platform.NumLiveContainers(), 0u);
+  EXPECT_EQ(platform.counters().reclaimed_containers, reclaimed_before + 1);
+  EXPECT_EQ(platform.LeasedContainers(), 0u);
+}
+
 // node.revoke fault: the routed node dies mid-invoke; the request fails
 // retryable and the revocation is real (counted, mask updated).
 TEST_F(PlatformLifecycleTest, RevokeFaultFailsRetryableAndRevokes) {
@@ -400,30 +436,57 @@ TEST_F(PlatformLifecycleTest, RevokeFaultFailsRetryableAndRevokes) {
 // Churn re-solves read the demand history as it stands: a revoke and a
 // revive re-cluster twice but close no slot, so the warming forecaster never
 // reads them as quiet slots.
-TEST(ChurnDemandTest, ChurnClosesNoDemandSlot) {
-  AnalyticCostModel costs;
-  PlatformOptions options;
-  options.num_nodes = 2;
-  options.containers_per_node = 2;
-  options.warm_plan_cache = false;
-  options.warming.enabled = true;
-  options.warming.interval = 0.0;  // Cycles only via explicit WarmNow().
-  OptimusPlatform platform(&costs, options);
-  platform.Deploy("vgg11", TinyVgg(11));
-  const std::vector<float> input(8, 0.5f);
-  platform.Invoke("vgg11", input, 1.0);
-  platform.WarmNow(2.0);
-  platform.Invoke("vgg11", input, 3.0);
-  platform.WarmNow(4.0);
-  ASSERT_EQ(platform.placement().DemandSlots(), 2u);
-  const std::map<std::string, DemandSeries> history = platform.placement().DemandHistory();
-  const size_t rebalances = platform.placement().Rebalances();
+class ChurnDemandTest : public testing::Test {
+ protected:
+  // Warming on, with two manual cycles after one invoke each: the demand
+  // accumulator holds two closed slots.
+  ChurnDemandTest() : platform_(&costs_, Options()) {
+    platform_.Deploy("vgg11", TinyVgg(11));
+    const std::vector<float> input(8, 0.5f);
+    platform_.Invoke("vgg11", input, 1.0);
+    platform_.WarmNow(2.0);
+    platform_.Invoke("vgg11", input, 3.0);
+    platform_.WarmNow(4.0);
+  }
 
-  ASSERT_TRUE(platform.RevokeNode(1, 0.0, 5.0));
-  ASSERT_TRUE(platform.ReviveNode(1));
-  EXPECT_EQ(platform.placement().DemandSlots(), 2u);
-  EXPECT_EQ(platform.placement().DemandHistory(), history);
-  EXPECT_EQ(platform.placement().Rebalances(), rebalances + 2);
+  static PlatformOptions Options() {
+    PlatformOptions options;
+    options.num_nodes = 2;
+    options.containers_per_node = 2;
+    options.warm_plan_cache = false;
+    options.warming.enabled = true;
+    options.warming.interval = 0.0;  // Cycles only via explicit WarmNow().
+    return options;
+  }
+
+  AnalyticCostModel costs_;
+  OptimusPlatform platform_;
+};
+
+TEST_F(ChurnDemandTest, ChurnClosesNoDemandSlot) {
+  ASSERT_EQ(platform_.placement().DemandSlots(), 2u);
+  const std::map<std::string, DemandSeries> history = platform_.placement().DemandHistory();
+  const size_t rebalances = platform_.placement().Rebalances();
+
+  ASSERT_TRUE(platform_.RevokeNode(1, 0.0, 5.0));
+  ASSERT_TRUE(platform_.ReviveNode(1));
+  EXPECT_EQ(platform_.placement().DemandSlots(), 2u);
+  EXPECT_EQ(platform_.placement().DemandHistory(), history);
+  EXPECT_EQ(platform_.placement().Rebalances(), rebalances + 2);
+}
+
+// With warming on, warming cycles alone close demand slots: an operator's
+// rebalance between two cycles re-solves without recording a short slot the
+// forecaster would read as a quiet interval.
+TEST_F(ChurnDemandTest, ManualRebalanceWithWarmingClosesNoSlot) {
+  ASSERT_EQ(platform_.placement().DemandSlots(), 2u);
+  const std::map<std::string, DemandSeries> history = platform_.placement().DemandHistory();
+  const size_t rebalances = platform_.placement().Rebalances();
+
+  EXPECT_TRUE(platform_.RebalanceNow("manual"));
+  EXPECT_EQ(platform_.placement().DemandSlots(), 2u);
+  EXPECT_EQ(platform_.placement().DemandHistory(), history);
+  EXPECT_EQ(platform_.placement().Rebalances(), rebalances + 1);
 }
 
 // --- Gateway: tenant admission and shedding. --------------------------------

@@ -522,8 +522,9 @@ TEST(PlacementRebalancerTest, DemandWindowWakesBackgroundRebalance) {
 
 // --- O(1) routing regression --------------------------------------------------
 
-// A warm hit must take exactly one node lock, independent of cluster size —
-// the regression hook for the old O(num_nodes) scan in Invoke.
+// A warm hit must take exactly two node locks — one to lease its container,
+// one to return it — independent of cluster size: the regression hook for
+// the old O(num_nodes) scan in Invoke.
 TEST(PlacementRoutingTest, WarmHitLockCountIndependentOfNumNodes) {
   const std::vector<float> input(8, 0.5f);
   for (const int num_nodes : {1, 32}) {
@@ -537,7 +538,7 @@ TEST(PlacementRoutingTest, WarmHitLockCountIndependentOfNumNodes) {
     const uint64_t before = platform.NodeLockAcquisitions();
     platform.Invoke("vgg", input, 1.0);
     const uint64_t locks_for_warm_hit = platform.NodeLockAcquisitions() - before;
-    EXPECT_EQ(locks_for_warm_hit, 1u) << "num_nodes=" << num_nodes;
+    EXPECT_EQ(locks_for_warm_hit, 2u) << "num_nodes=" << num_nodes;
   }
 }
 

@@ -1,5 +1,9 @@
 #include "src/core/platform.h"
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "src/runtime/inference.h"
@@ -208,6 +212,41 @@ TEST_F(PlatformTest, ArenaRecycledAcrossContainerGenerations) {
     EXPECT_GT(recycled->elements_reserved(), 0);
     EXPECT_EQ(recycled->elements_used(), 0);
   }
+}
+
+// Leases (DESIGN.md §9): a request holds its node's lock only to lease a
+// container, so a warm hit of one function completes while another function's
+// scratch load, thousands of times longer, holds its lease on the same node.
+TEST(PlatformLeaseTest, WarmHitOverlapsAnotherFunctionsScratchLoad) {
+  AnalyticCostModel costs;
+  PlatformOptions options;
+  options.num_nodes = 1;
+  options.containers_per_node = 2;
+  options.warm_plan_cache = false;
+  OptimusPlatform platform(&costs, options);
+  platform.Deploy("chain", SmallChain("chain", 3, 4));  // Warm hit: microseconds.
+  platform.Deploy("resnet", TinyResNet(50));            // Scratch load: tens of ms.
+  const std::vector<float> input(8, 0.5f);
+  platform.Invoke("chain", input, 0.0);
+
+  std::atomic<bool> loaded{false};
+  std::thread cold([&] {
+    EXPECT_EQ(platform.Invoke("resnet", input, 1.0).start, StartType::kCold);
+    loaded.store(true);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  bool leased = false;
+  while (!(leased = platform.LeasedContainers() == 1) && !loaded.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(leased) << "never saw the scratch load's lease";
+  const InvokeResult warm = platform.Invoke("chain", input, 1.0);
+  EXPECT_EQ(warm.start, StartType::kWarm);
+  EXPECT_FALSE(loaded.load()) << "the warm hit waited for the scratch load";
+  cold.join();
+  EXPECT_EQ(platform.LeasedContainers(), 0u);
+  EXPECT_TRUE(platform.CheckContainerIntegrity().empty());
 }
 
 }  // namespace

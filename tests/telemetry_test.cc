@@ -138,11 +138,10 @@ TEST(TelemetryConcurrencyTest, RegistryLookupsRaceWithRecording) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&registry, t] {
+      static const char* const kPhases[] = {"p0", "p1", "p2", "p3"};
       for (int i = 0; i < 2000; ++i) {
         registry.GetCounter("shared_total").Inc();
-        registry
-            .GetHistogram("latency_seconds", {{"phase", "p" + std::to_string(i % 4)}})
-            .Observe(1e-6);
+        registry.GetHistogram("latency_seconds", {{"phase", kPhases[i % 4]}}).Observe(1e-6);
         if (t == 0 && i % 500 == 0) {
           (void)registry.RenderPrometheus();
         }
